@@ -6,10 +6,11 @@ are always created before the results that consume them, walking the tape
 backwards visits nodes in reverse topological order exactly once, which is
 what :func:`backward` does.
 
-The primitive set is deliberately tiny: matmul, broadcasting add ("add_bias"),
-relu, row softmax, elementwise log / mul / pow, scalar affine maps and the
-three reductions (row_sum, col_sum, mean). The losses in this package are all
-expressible in these, plus :func:`clamp_floor` which is a composite.
+The primitive set is deliberately tiny: matmul, broadcasting add (op name
+"add_bias"), relu, row softmax, elementwise log / mul / pow, scalar affine
+maps, the three reductions (row_sum, col_sum, mean) and the fused pairwise
+entropy :func:`pair_entropy` behind the CPA loss. The losses in this package
+are all expressible in these, plus :func:`clamp_floor` which is a composite.
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ class Tape:
 
         Constants still receive gradients during :func:`backward`; callers
         simply never apply them. Keeping them as leaves guarantees that no
-        gradient can flow *through* them into upstream parameters.
+        gradient can flow *through* them into upstream parameters. A large
+        operand that never needs a gradient belongs in a primitive that takes
+        it as a plain array instead, as :func:`pair_entropy` does with its
+        weights.
         """
         return self.leaf(value)
 
@@ -144,10 +148,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
     return Tensor(value, tape, "add_bias", (a, b), vjp)
-
-
-# Alias: bias addition is the common case of broadcasting add.
-add_bias = add
 
 
 def relu(x: Tensor) -> Tensor:
@@ -253,6 +253,36 @@ def mean(x: Tensor) -> Tensor:
     return Tensor(np.array([[x.value.mean()]]), x.tape, "mean", (x,), vjp)
 
 
+def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
+    """-0.5 * sum_ij w_ij * sum_k s_ijk log s_ijk over all pairs s_ij = a_i + b_j.
+
+    Evaluated on broadcast (n_a, n_b, c) arrays, so time and memory are
+    O(n_a * n_b * c). ``weights`` is a plain (n_a, n_b) array, never a tape
+    node, and no gradient is computed for it. The VJP is closed form:
+    dL/da_i = -0.5 * g * sum_j w_ij (log s_ij + 1), and symmetrically for b_j.
+    """
+    tape = _same_tape(a, b)
+    w = np.asarray(weights, dtype=np.float64)
+    (n_a, c), (n_b, c_b) = a.shape, b.shape
+    if c != c_b or w.shape != (n_a, n_b):
+        raise ContractViolationError(
+            f"pair_entropy shapes {a.shape}, {b.shape} need weights ({n_a}, {n_b}), "
+            f"got {w.shape}")
+    s = a.value[:, None, :] + b.value[None, :, :]
+    if np.any(s <= 0.0):
+        raise DomainError("pair_entropy of a non-positive pair sum; clamp inputs first")
+    log_s = np.log(s)
+    # Per-pair sum over k, then the weighted sum over the flattened pairs.
+    per_pair = (s * log_s).reshape(n_a * n_b, c).sum(axis=1, keepdims=True)
+    total = (w.reshape(-1, 1) * per_pair).sum(axis=0, keepdims=True)
+
+    def vjp(g):
+        ds = ((g[0, 0] * -0.5) * w)[:, :, None] * (log_s + 1.0)
+        return ds.sum(axis=1), ds.sum(axis=0)
+
+    return Tensor(total * -0.5 + 0.0, tape, "pair_entropy", (a, b), vjp)
+
+
 def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
     """max(x, floor), composed from relu and scalar affine maps.
 
@@ -260,40 +290,6 @@ def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
     at and below the floor.
     """
     return scalar_affine(relu(scalar_affine(x, 1.0, -floor)), 1.0, floor)
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add_bias": add,
-    "relu": relu,
-    "row_softmax": row_softmax,
-    "elementwise_log": log,
-    "elementwise_mul": mul,
-    "scalar_affine": scalar_affine,
-    "elementwise_pow": power,
-    "row_sum": row_sum,
-    "col_sum": col_sum,
-    "mean": mean,
-}
-
-
-def primitive_forward(op_kind: str, inputs: Sequence, tape: Tape | None = None, **params) -> Tensor:
-    """Apply a primitive by name.
-
-    Array inputs are wrapped as leaves on ``tape`` (a fresh tape when none is
-    given); :class:`Tensor` inputs are used as-is.
-    """
-    if op_kind not in PRIMITIVES:
-        raise ContractViolationError(f"unknown primitive {op_kind!r}")
-    operands = []
-    for x in inputs:
-        if isinstance(x, Tensor):
-            operands.append(x)
-        else:
-            if tape is None:
-                tape = Tape()
-            operands.append(tape.leaf(x))
-    return PRIMITIVES[op_kind](*operands, **params)
 
 
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:

@@ -151,7 +151,7 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
     "schedule.lambda2_a": ("lambda2_a", float, lambda v: v >= 0),
     "schedule.lambda3_a": ("lambda3_a", float, lambda v: v >= 0),
     "schedule.delta": ("delta", float, lambda v: v > 0),
-    "schedule.lambda_form": ("lambda_form", str, lambda v: v in ("logistic", "exp")),
+    "schedule.lambda_form": ("lambda_form", str, lambda v: v == "logistic"),
     "train.epochs": ("epochs", int, lambda v: v >= 1),
     "train.batch_size": ("batch_size", int, lambda v: v >= 1),
     "train.cgi_updates_backbone": ("cgi_updates_backbone", _parse_bool, None),

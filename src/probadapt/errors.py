@@ -1,21 +1,25 @@
 """Exception types shared across the package."""
 
 
-class ContractViolationError(ValueError):
+class ProbadaptError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ContractViolationError(ProbadaptError, ValueError):
     """An argument broke a documented precondition (shape, range, enum)."""
 
 
-class DomainError(ValueError):
+class DomainError(ProbadaptError, ValueError):
     """A numeric operation was applied outside its mathematical domain."""
 
 
-class MissingClassError(ValueError):
+class MissingClassError(ProbadaptError, ValueError):
     """A per-class computation found a class with no samples."""
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(ProbadaptError, RuntimeError):
     """A loss or gradient became non-finite during optimisation."""
 
 
-class ConfigError(ValueError):
+class ConfigError(ProbadaptError, ValueError):
     """An experiment configuration document failed validation."""

@@ -290,8 +290,9 @@ def prototype_regularizer(p_g_s, labels: np.ndarray, prototype: np.ndarray) -> T
 def cpa_pairwise(p_g_s, p_g_t, alpha_st: np.ndarray) -> Tensor:
     """Coefficient-weighted sum of pair distances between all source/target rows.
 
-    Vectorised as one (n_s * n_t) x c matrix of pairwise clamped sums; equals
-    sum_ij alpha[i, j] * pair_distance(p_g_s[i], p_g_t[j]).
+    Equals sum_ij alpha[i, j] * pair_distance(p_g_s[i], p_g_t[j]), evaluated by
+    the fused :func:`autodiff.pair_entropy` on the clamped rows in
+    O(n_s * n_t * c) time and memory; ``alpha`` receives no gradient.
     """
     p = _ensure_tensor(p_g_s)
     q = _ensure_tensor(p_g_t, p.tape)
@@ -299,13 +300,7 @@ def cpa_pairwise(p_g_s, p_g_t, alpha_st: np.ndarray) -> Tensor:
     n_s, n_t = p.shape[0], q.shape[0]
     if alpha.shape != (n_s, n_t):
         raise ContractViolationError(f"alpha shape {alpha.shape} != ({n_s}, {n_t})")
-    tape = p.tape
-    rep_s = tape.constant(np.repeat(np.eye(n_s), n_t, axis=0))
-    rep_t = tape.constant(np.tile(np.eye(n_t), (n_s, 1)))
-    s = ad.add(ad.matmul(rep_s, ad.clamp_floor(p)), ad.matmul(rep_t, ad.clamp_floor(q)))
-    per_pair = ad.row_sum(ad.mul(s, ad.log(s)))
-    weighted = ad.mul(tape.constant(alpha.reshape(-1, 1)), per_pair)
-    return ad.scalar_affine(ad.col_sum(weighted), -0.5, 0.0)
+    return ad.pair_entropy(ad.clamp_floor(p), ad.clamp_floor(q), alpha)
 
 
 def cpa_loss(p_g_s, p_g_t, alpha_st: np.ndarray, labels: np.ndarray,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, config_hash
 from .data import make_pretrain_task, make_uda_pair
-from .errors import ContractViolationError, TrainingDivergedError
+from .errors import ContractViolationError, ProbadaptError, TrainingDivergedError
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import TrainReport, train
 
@@ -227,8 +227,10 @@ def _grid_points(cfg: ExperimentConfig, axis: str):
 def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
     """One run per grid point under ``<outputs>/<axis>/<point>/``.
 
-    A failing point is recorded as failed and the grid continues. Writes an
-    aggregated ``grid_summary.csv`` next to the per-point directories.
+    A point that raises one of the package's errors is recorded as failed and
+    the grid continues; any other exception is a programming error and
+    propagates. Writes an aggregated ``grid_summary.csv`` next to the
+    per-point directories.
     """
     records = []
     base = resolve_out_dir(cfg, axis)
@@ -236,7 +238,7 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
         out = base / name
         try:
             rec = run_experiment(point_cfg, out_dir=out)
-        except Exception as exc:  # keep sweeping; mark the point
+        except ProbadaptError as exc:
             rec = RunRecord(mode=point_cfg.mode, seed=point_cfg.seed,
                             config_hash=config_hash(point_cfg), status="failed",
                             out_dir=out, summary={"status": "failed", "error": str(exc)})

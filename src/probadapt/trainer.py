@@ -51,7 +51,7 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.eta0 <= 0 or self.upsilon <= 0 or self.delta <= 0:
             raise ContractViolationError("eta0, upsilon and delta must be positive")
-        if self.lambda_form not in ("logistic", "exp"):
+        if self.lambda_form != "logistic":
             raise ContractViolationError(f"unknown lambda_form {self.lambda_form!r}")
 
 
@@ -117,16 +117,13 @@ def lr_schedule(eta0: float, tau: float, upsilon: float, rho: float) -> float:
 def lambda_schedule(a: float, delta: float, rho: float, form: str = "logistic") -> float:
     """Loss-weight ramp over normalised progress rho in [0, 1].
 
-    The default logistic form a * (2 / (1 + exp(-delta * rho)) - 1) starts at
-    0 and saturates at a. The "exp" form 2a * exp(delta * rho) - 1 grows
-    without bound and exists only for comparison; nothing uses it by default.
+    The logistic form a * (2 / (1 + exp(-delta * rho)) - 1) starts at 0 and
+    saturates at a; it is the only form.
     """
     if not (0.0 <= rho <= 1.0):
         raise ContractViolationError("rho must lie in [0, 1]")
     if form == "logistic":
         return a * (2.0 / (1.0 + math.exp(-delta * rho)) - 1.0)
-    if form == "exp":
-        return 2.0 * a / math.exp(-delta * rho) - 1.0
     raise ContractViolationError(f"unknown lambda form {form!r}")
 
 

@@ -49,13 +49,6 @@ def test_softmax_rows_sum_to_one_and_positive():
     assert np.all(s > 0)
 
 
-def test_primitive_forward_dispatch():
-    out = ad.primitive_forward("matmul", [[[1.0, 2.0]], [[3.0], [4.0]]])
-    assert np.array_equal(out.value, [[11.0]])
-    with pytest.raises(ContractViolationError):
-        ad.primitive_forward("conv2d", [[[1.0]]])
-
-
 def test_backward_sum_of_squares():
     tape = Tape()
     x = tape.leaf([[1.0, 2.0]])

@@ -6,7 +6,7 @@ import pytest
 from probadapt import autodiff as ad
 from probadapt import losses as L
 from probadapt.autodiff import EPS, Tape
-from probadapt.errors import ContractViolationError
+from probadapt.errors import ContractViolationError, DomainError
 from probadapt.seeding import rng_for
 
 
@@ -177,6 +177,59 @@ def test_cpa_pairwise_matches_scalar_pair_distance():
         want = sum(alpha[i, j] * L.pair_distance(p[i], q[j])
                    for i in range(n_s) for j in range(n_t))
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def replicated_cpa_pairwise(p, q, alpha):
+    """Reference CPA: every pair as one row of (n_s * n_t) x c, built by
+    multiplying replication constants into the clamped rows."""
+    tape = p.tape
+    n_s, n_t = p.shape[0], q.shape[0]
+    rep_s = tape.constant(np.repeat(np.eye(n_s), n_t, axis=0))
+    rep_t = tape.constant(np.tile(np.eye(n_t), (n_s, 1)))
+    s = ad.add(ad.matmul(rep_s, ad.clamp_floor(p)), ad.matmul(rep_t, ad.clamp_floor(q)))
+    per_pair = ad.row_sum(ad.mul(s, ad.log(s)))
+    weighted = ad.mul(tape.constant(alpha.reshape(-1, 1)), per_pair)
+    return ad.scalar_affine(ad.col_sum(weighted), -0.5, 0.0)
+
+
+def value_and_grads(fn, p, q, alpha):
+    tape = Tape()
+    a, b = tape.leaf(p), tape.leaf(q)
+    loss = fn(a, b, alpha)
+    grads = ad.backward(loss)
+    return loss.item(), ad.grad_or_zero(grads, a), ad.grad_or_zero(grads, b)
+
+
+def test_cpa_pairwise_matches_replicated_reference():
+    rng = rng_for(20, "test/cpa-ref")
+    for n_s, n_t, c in ((3, 7, 5), (6, 2, 4), (5, 5, 6)):
+        p = rand_probs(rng, n_s, c)
+        q = rand_probs(rng, n_t, c)
+        p[0, :2] = 0.0                  # entries at the clamp floor
+        q[-1, 1] = EPS / 2
+        alpha = rng.random((n_s, n_t))
+        alpha[1] = 0.0                  # a source row with no partner
+        got = value_and_grads(L.cpa_pairwise, p, q, alpha)
+        want = value_and_grads(replicated_cpa_pairwise, p, q, alpha)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+        for g, w in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, w, rtol=1e-12)
+        assert np.all(got[1][1] == 0.0)
+        assert np.all(got[1][0, :2] == 0.0) and got[2][-1, 1] == 0.0
+
+
+def test_pair_entropy_checks_shapes_and_domain():
+    tape = Tape()
+    a = tape.leaf([[0.5, 0.5], [0.2, 0.8]])
+    b = tape.leaf([[0.3, 0.7]])
+    with pytest.raises(ContractViolationError):
+        ad.pair_entropy(a, b, np.ones((1, 2)))
+    with pytest.raises(ContractViolationError):
+        ad.pair_entropy(a, tape.leaf([[0.3, 0.3, 0.4]]), np.ones((2, 1)))
+    with pytest.raises(ContractViolationError):
+        L.cpa_pairwise(a, b, np.ones((2, 2)))
+    with pytest.raises(DomainError):
+        ad.pair_entropy(a, tape.leaf([[-0.5, 0.1]]), np.ones((2, 1)))
 
 
 def brute_force_classwise(p_s, y_s, p_t, y_t, classes):

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from probadapt import runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import parse_config
+from probadapt.errors import MissingClassError
 from probadapt.runner import (EPOCHS_HEADER, read_epochs_csv, read_grid_summary,
                               read_summary, run_experiment, run_grid, summary_metrics)
 
@@ -141,6 +143,22 @@ def test_grid_continues_past_failures(tmp_path):
                        "beta_variant")
     assert all(r.status in ("incomplete", "failed") for r in records)
     assert len(records) == 4
+
+
+def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkeypatch):
+    def raising(exc):
+        def run(cfg, out_dir=None):
+            raise exc
+        return run
+
+    monkeypatch.setattr(runner, "run_experiment", raising(MissingClassError("no class 2")))
+    records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
+    assert [r.status for r in records] == ["failed"] * 4
+    assert records[0].summary["error"] == "no class 2"
+
+    monkeypatch.setattr(runner, "run_experiment", raising(TypeError("bad argument")))
+    with pytest.raises(TypeError, match="bad argument"):
+        run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

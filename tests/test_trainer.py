@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from probadapt.config import ExperimentConfig
+from probadapt import trainer
+from probadapt.autodiff import Tape
+from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import GeneratorSpec, Shift, UdaPair, UnlabeledDataset, make_uda_pair
-from probadapt.errors import ContractViolationError
+from probadapt.errors import ConfigError, ContractViolationError
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
@@ -55,10 +57,12 @@ def test_lambda_schedule_worked_examples():
     assert lambda_schedule(1.0, 10.0, 0.5) == pytest.approx(0.98661, abs=1e-5)
 
 
-def test_lambda_schedule_exp_form_for_comparison():
-    # the printed ramp grows without bound and is never the default
-    assert lambda_schedule(1.0, 10.0, 1.0, form="exp") == pytest.approx(2 * math.e ** 10 - 1)
-    assert ScheduleConfig().lambda_form == "logistic"
+def test_lambda_form_exp_rejected():
+    # the exp ramp started at -1, so a baseline run did gradient ascent
+    with pytest.raises(ConfigError, match="schedule.lambda_form"):
+        parse_config("schedule.lambda_form = exp\n")
+    with pytest.raises(ContractViolationError):
+        lambda_schedule(1.0, 10.0, 0.0, form="exp")
 
 
 # ----------------------------------------------------------- train_step
@@ -75,6 +79,25 @@ def test_gradient_routing_default():
     assert {"theta", "theta_g"} <= cpa_groups
     cls_groups = {group for group, _ in comp.grads["cls"]}
     assert "theta_g" not in cls_groups
+
+
+def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
+    # CPA pairs every source row with every target row; no recorded value
+    # may materialise those n_s * n_t pairs as rows.
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(trainer, "Tape", RecordingTape)
+    n = 64
+    params, x_s, y_s, x_t, m = tiny_setup(n=n)
+    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    (tape,) = tapes
+    assert len(tape.nodes) > 0
+    assert all(node.value.shape[0] != n * n for node in tape.nodes)
 
 
 def test_gradient_routing_backbone_toggle():
