@@ -2,7 +2,7 @@
 
 Shows the calibration weights, the pair distance and its relation to the
 Jensen-Shannon divergence, the transformed target probabilities, the
-calibration factor, and both closed forms of the penalty gradient.
+calibration factor, and the closed form of the penalty gradient.
 """
 
 import numpy as np
@@ -42,12 +42,10 @@ p_h = np.array([[0.9, 0.1], [0.4, 0.6]])
 beta = np.array([L.beta_factor(p_tilde[j], p_h[j]) for j in range(2)])
 print("calibration factors:", beta)
 
-# --- the calibrated penalty and its gradient forms ---------------------------
+# --- the calibrated penalty and its gradient ---------------------------------
 loss, state = L.cgi_loss(p_h, p_g_t, prototype)
 print(f"\ncalibrated Gini penalty: {loss.item():.6f}")
 print(f"plain Gini would be:     {L.gini_impurity(p_h):.6f}")
 
 exact = L.cgi_gradient_reference(p_h, state.p_tilde, state.beta)
-compact = L.cgi_gradient_compact(p_h, state.p_tilde, state.beta)
 print("\nexact gradient (matches autodiff):\n", exact)
-print("compact folded form (for comparison only, differs when beta < 1):\n", compact)

@@ -15,10 +15,9 @@ from .data import (DomainDataset, GeneratorSpec, PretrainTask, Shift, UdaPair,
 from .errors import (ConfigError, ContractViolationError, DomainError,
                      MissingClassError, TrainingDivergedError)
 from .losses import (CgiState, beta_factor, beta_variant_eval, calibration_matrix,
-                     cgi_gradient_compact, cgi_gradient_reference, cgi_loss,
-                     classification_loss, cpa_loss, gini_impurity, js_divergence,
-                     pair_distance, prototype_regularizer, pseudo_labels,
-                     source_weights, target_weights, transform_probability)
+                     cgi_gradient_reference, cgi_loss, classification_loss, cpa_loss,
+                     gini_impurity, js_divergence, pair_distance, prototype_regularizer,
+                     pseudo_labels, source_weights, target_weights, transform_probability)
 from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
                     init_params, learn_prototype, load_checkpoint, predict_proba,
                     pretrain, save_checkpoint, split_source)

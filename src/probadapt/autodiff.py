@@ -9,8 +9,9 @@ what :func:`backward` does.
 The primitive set is deliberately tiny: matmul, broadcasting add (op name
 "add_bias"), relu, row softmax, elementwise log / mul / pow, scalar affine
 maps, the three reductions (row_sum, col_sum, mean) and the fused pairwise
-entropy :func:`pair_entropy` behind the CPA loss. The losses in this package
-are all expressible in these, plus :func:`clamp_floor` which is a composite.
+entropy :func:`pair_entropy` behind the CPA loss, which builds only the pairs
+with a nonzero weight. The losses in this package are all expressible in
+these, plus :func:`clamp_floor` which is a composite.
 """
 
 from __future__ import annotations
@@ -256,10 +257,20 @@ def mean(x: Tensor) -> Tensor:
 def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
     """-0.5 * sum_ij w_ij * sum_k s_ijk log s_ijk over all pairs s_ij = a_i + b_j.
 
-    Evaluated on broadcast (n_a, n_b, c) arrays, so time and memory are
-    O(n_a * n_b * c). ``weights`` is a plain (n_a, n_b) array, never a tape
-    node, and no gradient is computed for it. The VJP is closed form:
-    dL/da_i = -0.5 * g * sum_j w_ij (log s_ij + 1), and symmetrically for b_j.
+    Only the P pairs with a nonzero weight are built, as one (P, c) array, so
+    time is O(n_a * n_b + P * c) and memory O(n_a * n_b + P * c). With CPA's
+    coefficients P is the number of same-class pairs. ``weights`` is a plain
+    (n_a, n_b) array, never a tape node, and no gradient is computed for it.
+
+    The checks still cover every pair: some s_ijk <= 0 exactly when
+    min_i a_ik + min_j b_jk <= 0 for some k (rounded addition is monotone),
+    and a NaN or inf anywhere in ``a`` or ``b`` makes the value NaN, as it
+    would through 0 * NaN on a zero-weight pair.
+
+    The VJP is closed form: dL/da_i = -0.5 * g * sum_j w_ij (log s_ij + 1), and
+    symmetrically for b_j. Each operand's gradient is one flat ``bincount``,
+    which adds the pairs in (i, j) order, the order a sum over the dense
+    broadcast array takes, so both gradients equal the dense ones bit for bit.
     """
     tape = _same_tape(a, b)
     w = np.asarray(weights, dtype=np.float64)
@@ -268,17 +279,32 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
         raise ContractViolationError(
             f"pair_entropy shapes {a.shape}, {b.shape} need weights ({n_a}, {n_b}), "
             f"got {w.shape}")
-    s = a.value[:, None, :] + b.value[None, :, :]
-    if np.any(s <= 0.0):
-        raise DomainError("pair_entropy of a non-positive pair sum; clamp inputs first")
+    av, bv = a.value, b.value
+    finite = True
+    if n_a and n_b:
+        if np.any(av.min(axis=0) + bv.min(axis=0) <= 0.0):
+            raise DomainError("pair_entropy of a non-positive pair sum; clamp inputs first")
+        finite = np.isfinite(av.max(axis=0) + bv.max(axis=0)).all()
+    i, j = np.nonzero(w != 0.0)
+    w_p = w[i, j]
+    # (P, c) work arrays are updated in place: they are the memory peak.
+    s = av[i]
+    s += bv[j]
     log_s = np.log(s)
-    # Per-pair sum over k, then the weighted sum over the flattened pairs.
-    per_pair = (s * log_s).reshape(n_a * n_b, c).sum(axis=1, keepdims=True)
-    total = (w.reshape(-1, 1) * per_pair).sum(axis=0, keepdims=True)
+    s *= log_s
+    # Per-pair sum over k, then the weighted sum over the pairs.
+    per_pair = np.einsum("pk->p", s)
+    total = (w_p * per_pair).sum(keepdims=True).reshape(1, 1)
+    if not finite:
+        total = np.full((1, 1), np.nan)
 
     def vjp(g):
-        ds = ((g[0, 0] * -0.5) * w)[:, :, None] * (log_s + 1.0)
-        return ds.sum(axis=1), ds.sum(axis=0)
+        ds = log_s + 1.0
+        ds *= ((g[0, 0] * -0.5) * w_p)[:, None]
+        k = np.arange(c)
+        ga = np.bincount(((i * c)[:, None] + k).ravel(), ds.ravel(), n_a * c)
+        gb = np.bincount(((j * c)[:, None] + k).ravel(), ds.ravel(), n_b * c)
+        return ga.reshape(n_a, c), gb.reshape(n_b, c)
 
     return Tensor(total * -0.5 + 0.0, tape, "pair_entropy", (a, b), vjp)
 

@@ -6,7 +6,8 @@ Subcommands:
   fig1 <config>            domain-gap comparison (mode forced to fig1)
   selftest                 built-in invariant checks
 
-Exit codes: 0 success, 2 configuration error, 3 training divergence,
+Exit codes: 0 success, 2 configuration error, 3 a run that diverged
+(status "incomplete") or collapsed onto one class (status "collapsed"),
 1 selftest failure.
 """
 

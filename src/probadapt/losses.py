@@ -256,20 +256,6 @@ def cgi_gradient_reference(p_h_t: np.ndarray, p_tilde: np.ndarray,
     return -(2.0 * b * p + (1.0 - b) * p_m)
 
 
-def cgi_gradient_compact(p_h_t: np.ndarray, p_tilde: np.ndarray,
-                         beta: np.ndarray) -> np.ndarray:
-    """Compact closed form -((1 + beta) p_h + (1 - beta) p_tilde).
-
-    Folds the mixed distribution into the direct term. Kept for side-by-side
-    comparison only: it does not equal the exact derivative whenever beta < 1,
-    so nothing in training uses it.
-    """
-    p = np.atleast_2d(np.asarray(p_h_t, dtype=np.float64))
-    pt = np.atleast_2d(np.asarray(p_tilde, dtype=np.float64))
-    b = np.asarray(beta, dtype=np.float64).reshape(-1, 1)
-    return -((1.0 + b) * p + (1.0 - b) * pt)
-
-
 def prototype_regularizer(p_g_s, labels: np.ndarray, prototype: np.ndarray) -> Tensor:
     """Sum over source samples of KL(prototype row of its class || p_g row).
 
@@ -291,8 +277,11 @@ def cpa_pairwise(p_g_s, p_g_t, alpha_st: np.ndarray) -> Tensor:
     """Coefficient-weighted sum of pair distances between all source/target rows.
 
     Equals sum_ij alpha[i, j] * pair_distance(p_g_s[i], p_g_t[j]), evaluated by
-    the fused :func:`autodiff.pair_entropy` on the clamped rows in
-    O(n_s * n_t * c) time and memory; ``alpha`` receives no gradient.
+    the fused :func:`autodiff.pair_entropy` on the clamped rows. Only pairs
+    with a nonzero coefficient are built; for :func:`calibration_matrix`
+    those are the pairs whose source label equals the target pseudo-label, so
+    time and memory are O(n_s * n_t + P * c) with P the number of same-class
+    pairs. ``alpha`` receives no gradient.
     """
     p = _ensure_tensor(p_g_s)
     q = _ensure_tensor(p_g_t, p.tape)

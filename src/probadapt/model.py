@@ -236,6 +236,11 @@ def save_checkpoint(params: ParamGroups, path) -> None:
 
 
 def load_checkpoint(path) -> ParamGroups:
+    """Read a :func:`save_checkpoint` file back, exactly.
+
+    Raises ContractViolationError on a malformed file and on a parameter set
+    with a missing or unexpected tensor or a shape the model cannot use.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
@@ -261,9 +266,41 @@ def load_checkpoint(path) -> ParamGroups:
             arr[r] = [float(v) for v in vals]
         groups[group][name] = arr
         i += 1 + rows
+    _check_checkpoint_shapes(groups)
     return ParamGroups(groups["theta"], groups["theta_g"], groups["theta_h"])
 
 
-def load_external_checkpoint(path):
-    """Hook for third-party pretrained weights; intentionally unimplemented."""
-    raise NotImplementedError("loading third-party checkpoints is not supported")
+def _check_checkpoint_shapes(groups: dict[str, dict[str, np.ndarray]]) -> None:
+    """Reject a parameter set :func:`init_params` could not have produced.
+
+    Every tensor must be present and no other; each bias is 1 x fan_out; the
+    extractor's widths chain into FEATURE_DIM; both heads take FEATURE_DIM
+    inputs. Errors name the offending tensor as ``<group>.<name>``.
+    """
+    n_layers = len(HIDDEN_DIMS) + 1
+    layers = [("theta", f"w{i}", f"b{i}") for i in range(1, n_layers + 1)]
+    layers += [("theta_g", "w", "b"), ("theta_h", "w", "b")]
+    for group, tensors in groups.items():
+        expected = {name for grp, w, b in layers if grp == group for name in (w, b)}
+        missing, extra = sorted(expected - set(tensors)), sorted(set(tensors) - expected)
+        if missing:
+            raise ContractViolationError(f"checkpoint lacks tensor {group}.{missing[0]}")
+        if extra:
+            raise ContractViolationError(f"checkpoint has unexpected tensor {group}.{extra[0]}")
+    width = None
+    for group, w_name, b_name in layers:
+        w, b = groups[group][w_name], groups[group][b_name]
+        fan_in = width if group == "theta" else FEATURE_DIM
+        if fan_in is not None and w.shape[0] != fan_in:
+            raise ContractViolationError(
+                f"checkpoint tensor {group}.{w_name} takes {w.shape[0]} inputs, expected {fan_in}")
+        if b.shape != (1, w.shape[1]):
+            raise ContractViolationError(
+                f"checkpoint tensor {group}.{b_name} has shape {b.shape}, "
+                f"expected (1, {w.shape[1]})")
+        if group == "theta":
+            width = w.shape[1]
+            if w_name == f"w{n_layers}" and width != FEATURE_DIM:
+                raise ContractViolationError(
+                    f"checkpoint tensor theta.{w_name} outputs {width} features, "
+                    f"expected {FEATURE_DIM}")

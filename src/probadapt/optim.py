@@ -39,7 +39,9 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise TrainingDivergedError(f"non-finite gradient for parameter {name}")
         vel = state.velocities.get(name)
         if vel is None:
-            vel = np.zeros_like(param)
-        vel = state.momentum * vel + grad + state.weight_decay * param
-        state.velocities[name] = vel
+            vel = state.velocities[name] = np.zeros_like(param)
+        # Same operations in the same order as momentum*vel + grad + wd*param.
+        vel *= state.momentum
+        vel += grad
+        vel += state.weight_decay * param
         params[name] = param - lr * vel

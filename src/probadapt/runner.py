@@ -5,7 +5,8 @@ Every run writes two files into its output directory:
 * ``epochs.csv`` with the frozen header
   ``epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta``
 * ``summary.json`` with deterministic fields only (wall time stays in the
-  in-memory record so reruns are byte-identical)
+  in-memory record so reruns are byte-identical); its ``status`` is
+  ``complete``, ``collapsed`` or ``incomplete``
 
 Files are written atomically (temp file then rename). The environment
 variable ``PROBADAPT_OUTPUT_ROOT`` reroots relative output paths.
@@ -116,10 +117,21 @@ def _pretrained_model(cfg: ExperimentConfig):
     return params, heldout_accuracy(params, task)
 
 
-def _train_summary(cfg: ExperimentConfig, report: TrainReport, pretrain_acc: float,
-                   status: str = "complete") -> dict:
+def collapsed(cfg: ExperimentConfig, report: TrainReport) -> bool:
+    """True when every final target prediction falls in one class although
+    two or more classes are admissible.
+
+    Admissible means the target is not generated with a single class and the
+    final partial-set mask, if any, keeps at least two classes. Reads the
+    task head's predictions only, never the sealed evaluation labels.
+    """
+    return (cfg.target_class_count != 1 and report.final_admissible_classes >= 2
+            and sum(n > 0 for n in report.final_prediction_counts) == 1)
+
+
+def _train_summary(cfg: ExperimentConfig, report: TrainReport, pretrain_acc: float) -> dict:
     return {
-        "status": status,
+        "status": "collapsed" if collapsed(cfg, report) else "complete",
         "mode": cfg.mode,
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
@@ -137,7 +149,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
 
     The ablation modes delegate to :func:`run_grid` and return the aggregate
     record. Divergence produces a record with status "incomplete" instead of
-    raising; config errors raise before anything is written.
+    raising, and a run whose final target predictions all fall in one class
+    (see :func:`collapsed`) has status "collapsed"; config errors raise
+    before anything is written.
     """
     if cfg.mode == "ablation_beta":
         return _grid_aggregate(cfg, run_grid(cfg, "beta_variant"))
@@ -182,6 +196,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
             summary = _train_summary(cfg, report, pretrain_acc)
             if cfg.mode == "pda":
                 summary["pda_threshold"] = cfg.pda_threshold
+            record.status = summary["status"]
             record.report = report
     except TrainingDivergedError as exc:
         record.status = "incomplete"

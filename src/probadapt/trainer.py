@@ -105,6 +105,10 @@ class TrainReport:
     final_target_accuracy: float = 0.0
     feature_distance: float = 0.0
     probability_distance: float = 0.0
+    # Final task-head predictions on the target: rows per class, and how many
+    # classes the final partial-set mask keeps (all of them without one).
+    final_prediction_counts: tuple[int, ...] = ()
+    final_admissible_classes: int = 0
 
 
 def lr_schedule(eta0: float, tau: float, upsilon: float, rho: float) -> float:
@@ -153,9 +157,6 @@ def pda_mask(p_h_row: np.ndarray, counts: np.ndarray, threshold: int) -> np.ndar
     column-normalised weights are unaffected by the missing mass.
     """
     return np.asarray(p_h_row, dtype=np.float64) * pda_class_mask(counts, threshold)
-
-
-beta_variant_eval = losses.beta_variant_eval
 
 
 @dataclass
@@ -284,13 +285,19 @@ def _batch_stream(n: int, batch_size: int, need: int, seed: int, label: str,
     return np.concatenate(chunks)[:need]
 
 
-def evaluate_target(params: ParamGroups, target: UnlabeledDataset,
-                    eval_labels: np.ndarray, class_mask: np.ndarray | None = None) -> float:
-    """Target accuracy through the sealed evaluation channel only."""
+def target_predictions(params: ParamGroups, target: UnlabeledDataset,
+                       class_mask: np.ndarray | None = None) -> np.ndarray:
+    """Task-head class of every target row, restricted to the masked classes."""
     probs = predict_proba(params, "task", target.inputs)
     if class_mask is not None:
         probs = probs * class_mask.reshape(1, -1)
-    return accuracy(np.argmax(probs, axis=1), eval_labels)
+    return np.argmax(probs, axis=1)
+
+
+def evaluate_target(params: ParamGroups, target: UnlabeledDataset,
+                    eval_labels: np.ndarray, class_mask: np.ndarray | None = None) -> float:
+    """Target accuracy through the sealed evaluation channel only."""
+    return accuracy(target_predictions(params, target, class_mask), eval_labels)
 
 
 def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
@@ -300,9 +307,10 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
     The source is split 1:1; the prototype half never joins training. Batches
     iterate over the longer domain while the shorter one reshuffles and
     cycles. In partial-set mode the class mask is recomputed once per epoch
-    from the full target set. ``prototype_fn(p_g_val, labels, classes)`` is a
-    swappable estimator of the class centers; the default is the clamped
-    class-conditional mean.
+    from the full target set. The report keeps the class histogram of the
+    final predictions, from the same evaluation that gives the final accuracy.
+    ``prototype_fn(p_g_val, labels, classes)`` is a swappable estimator of the
+    class centers; the default is the clamped class-conditional mean.
     """
     if len(pair.source) == 0 or len(pair.target) == 0:
         raise ContractViolationError("both domains must be non-empty")
@@ -348,12 +356,17 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
             l_cgi=sums["cgi"] / per_epoch,
             lambda2=last["lambda2"], lambda3=last["lambda3"], eta=last["eta"]))
 
+    classes = pair.source.class_count
     final_mask = None
     if config.pda is not None:
         counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
         final_mask = pda_class_mask(counts, config.pda.threshold)
-    report.final_target_accuracy = evaluate_target(params, pair.target,
-                                                   pair.eval_labels, final_mask)
+    final_pred = target_predictions(params, pair.target, final_mask)
+    report.final_target_accuracy = accuracy(final_pred, pair.eval_labels)
+    report.final_prediction_counts = tuple(
+        int(n) for n in np.bincount(final_pred, minlength=classes))
+    report.final_admissible_classes = (
+        classes if final_mask is None else int(np.count_nonzero(final_mask)))
     distances = fig1_analog(params, pair.source, pair.target, config.seed)
     report.feature_distance = distances["feature_distance"]
     report.probability_distance = distances["probability_distance"]

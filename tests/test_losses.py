@@ -232,6 +232,100 @@ def test_pair_entropy_checks_shapes_and_domain():
         ad.pair_entropy(a, tape.leaf([[-0.5, 0.1]]), np.ones((2, 1)))
 
 
+def broadcast_pair_entropy(a, b, w):
+    """Reference pair_entropy over every pair on broadcast (n_a, n_b, c)
+    arrays: value and both input gradients for an upstream gradient of 1."""
+    s = a[:, None, :] + b[None, :, :]
+    log_s = np.log(s)
+    n_a, n_b, c = s.shape
+    per_pair = (s * log_s).reshape(n_a * n_b, c).sum(axis=1, keepdims=True)
+    total = (w.reshape(-1, 1) * per_pair).sum(axis=0, keepdims=True)
+    ds = ((1.0 * -0.5) * w)[:, :, None] * (log_s + 1.0)
+    return (total * -0.5 + 0.0)[0, 0], ds.sum(axis=1), ds.sum(axis=0)
+
+
+def pair_entropy_value_and_grads(a, b, w):
+    tape = Tape()
+    la, lb = tape.leaf(a), tape.leaf(b)
+    out = ad.pair_entropy(la, lb, w)
+    grads = ad.backward(out)
+    return out.item(), ad.grad_or_zero(grads, la), ad.grad_or_zero(grads, lb)
+
+
+def same_class_weights(y_s, y_t, classes):
+    """CPA coefficients for source labels y_s and target pseudo-labels y_t."""
+    p_h_t = L.one_hot(y_t, classes) * 0.7 + 0.3 / classes
+    return L.calibration_matrix(L.source_weights(L.one_hot(y_s, classes)),
+                                L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
+
+
+def test_pair_entropy_gradients_equal_broadcast_reference_bit_for_bit():
+    rng = rng_for(21, "test/pair-sparse")
+    c = 16
+    for n_a, n_b in ((9, 14), (23, 5), (16, 16)):
+        a = np.maximum(rand_probs(rng, n_a, c), EPS)
+        b = np.maximum(rand_probs(rng, n_b, c), EPS)
+        a[0, :3] = EPS                  # inputs at the clamp floor
+        b[-1, 5] = EPS
+        # class 3 only in the source (all-zero rows), class 2 only in the
+        # target (all-zero columns)
+        y_s = rng.integers(0, 2, size=n_a)
+        y_s[1::4] = 3
+        y_t = rng.integers(0, 2, size=n_b)
+        y_t[::3] = 2
+        w = same_class_weights(y_s, y_t, 4)
+        assert np.any(np.all(w == 0.0, axis=1)) and np.any(np.all(w == 0.0, axis=0))
+        got = pair_entropy_value_and_grads(a, b, w)
+        want = broadcast_pair_entropy(a, b, w)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+
+def test_pair_entropy_all_zero_weights():
+    rng = rng_for(22, "test/pair-zero")
+    a, b = rand_probs(rng, 4, 16), rand_probs(rng, 3, 16)
+    value, ga, gb = pair_entropy_value_and_grads(a, b, np.zeros((4, 3)))
+    assert value == 0.0
+    assert np.array_equal(ga, np.zeros((4, 16))) and np.array_equal(gb, np.zeros((3, 16)))
+
+
+def test_pair_entropy_domain_check_covers_zero_weight_pairs():
+    tape = Tape()
+    a = tape.leaf([[0.5, 0.5], [-0.6, 0.2]])
+    b = tape.leaf([[0.3, 0.7], [0.4, 0.6]])
+    w = np.array([[1.0, 1.0], [0.0, 0.0]])  # the row with s <= 0 has no weight
+    with pytest.raises(DomainError):
+        ad.pair_entropy(a, b, w)
+
+
+def test_pair_entropy_nan_in_zero_weight_row_is_not_finite():
+    tape = Tape()
+    a = tape.leaf([[0.5, 0.5], [np.nan, 0.2]])
+    b = tape.leaf([[0.3, 0.7], [0.4, 0.6]])
+    w = np.array([[1.0, 0.5], [0.0, 0.0]])
+    assert not np.isfinite(ad.pair_entropy(a, b, w).item())
+
+
+def test_pair_entropy_memory_stays_below_one_dense_pair_array():
+    import tracemalloc
+
+    rng = rng_for(23, "test/pair-mem")
+    n, c = 512, 16
+    labels = np.repeat(np.arange(4), n // 4)
+    w = same_class_weights(labels, rng.permutation(labels), 4)
+    a, b = rand_probs(rng, n, c), rand_probs(rng, n, c)
+    tape = Tape()
+    la, lb = tape.leaf(a), tape.leaf(b)
+    tracemalloc.start()
+    try:
+        ad.backward(ad.pair_entropy(la, lb, w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * c * 8        # one dense (n, n, c) float64 array: 32 MB
+
+
 def brute_force_classwise(p_s, y_s, p_t, y_t, classes):
     """Sum over classes of the distance between class-mean rows."""
     total = 0.0
@@ -419,18 +513,6 @@ def test_cgi_gradient_beta_one_is_minus_two_p():
     p = np.array([[0.2, 0.8]])
     ref = L.cgi_gradient_reference(p, p, np.ones(1))
     assert np.allclose(ref, -2.0 * p)
-
-
-def test_cgi_gradient_compact_differs_when_beta_below_one():
-    p = np.array([[0.9, 0.1]])
-    pt = np.array([[0.5, 0.5]])
-    beta = np.array([0.6])
-    exact = L.cgi_gradient_reference(p, pt, beta)
-    compact = L.cgi_gradient_compact(p, pt, beta)
-    assert not np.allclose(exact, compact)
-    # both scale linearly in p_h for fixed beta and p_tilde
-    exact2 = L.cgi_gradient_reference(2 * p, pt, beta)
-    assert np.allclose(exact2 - exact, -(2 * beta[0] + (1 - beta[0]) * 0.5) * p)
 
 
 def test_penalty_variants_values():

@@ -7,8 +7,7 @@ from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from probadapt.model import (feature_extract, head_forward, init_params,
                              heldout_accuracy, learn_prototype, load_checkpoint,
-                             load_external_checkpoint, predict_proba, pretrain,
-                             save_checkpoint, split_source)
+                             predict_proba, pretrain, save_checkpoint, split_source)
 from probadapt.data import DomainDataset
 from probadapt.autodiff import EPS
 from probadapt.seeding import rng_for
@@ -195,9 +194,50 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def test_external_checkpoint_stub():
-    with pytest.raises(NotImplementedError):
-        load_external_checkpoint("whatever.bin")
+def corrupt_checkpoint(tmp_path, edit):
+    """Save a fresh parameter set after ``edit(groups)`` changed it in place."""
+    params = init_params(3, 5, 2, seed=11)
+    edit({g: params.group(g) for g in ("theta", "theta_g", "theta_h")})
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(params, path)
+    return path
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    path = corrupt_checkpoint(tmp_path, lambda g: g["theta"].pop("b2"))
+    with pytest.raises(ContractViolationError, match=r"theta\.b2"):
+        load_checkpoint(path)
+    path = corrupt_checkpoint(tmp_path, lambda g: g["theta_h"].pop("w"))
+    with pytest.raises(ContractViolationError, match=r"theta_h\.w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bias_that_is_not_one_row(tmp_path):
+    def edit(groups):
+        groups["theta_g"]["b"] = np.zeros((2, 5))
+    with pytest.raises(ContractViolationError, match=r"theta_g\.b"):
+        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
+
+
+def test_checkpoint_rejects_widths_that_do_not_chain(tmp_path):
+    def edit(groups):
+        groups["theta"]["w2"] = np.zeros((63, 64))
+    with pytest.raises(ContractViolationError, match=r"theta\.w2"):
+        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
+
+
+def test_checkpoint_rejects_head_input_width(tmp_path):
+    def edit(groups):
+        groups["theta_h"]["w"] = np.zeros((31, 2))
+    with pytest.raises(ContractViolationError, match=r"theta_h\.w"):
+        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
+
+
+def test_checkpoint_rejects_unexpected_tensor(tmp_path):
+    def edit(groups):
+        groups["theta"]["w4"] = np.zeros((32, 32))
+    with pytest.raises(ContractViolationError, match=r"theta\.w4"):
+        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
 
 
 def test_predict_proba_heads_have_right_widths():

@@ -47,3 +47,25 @@ def test_nonfinite_gradient_raises():
 def test_nonpositive_lr_rejected():
     with pytest.raises(ContractViolationError):
         sgd_step({"w": np.ones((1, 1))}, {"w": np.ones((1, 1))}, SgdState(), lr=0.0)
+
+
+def test_velocity_update_matches_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    param = rng.normal(size=(4, 3))
+    params = {"w": param.copy()}
+    state = SgdState(momentum=0.9, weight_decay=5e-4)
+    vel = np.zeros_like(param)
+    for _ in range(5):
+        grad = rng.normal(size=param.shape)
+        sgd_step(params, {"w": grad}, state, lr=0.05)
+        vel = 0.9 * vel + grad + 5e-4 * param
+        param = param - 0.05 * vel
+        assert np.array_equal(state.velocities["w"], vel)
+        assert np.array_equal(params["w"], param)
+
+
+def test_nonfinite_gradient_error_names_the_parameter():
+    params = {"w": np.ones((1, 1)), "b": np.ones((1, 1))}
+    with pytest.raises(TrainingDivergedError, match="parameter b"):
+        sgd_step(params, {"w": np.ones((1, 1)), "b": np.array([[np.inf]])},
+                 SgdState(), lr=0.1)

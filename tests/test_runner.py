@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from probadapt import runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import parse_config
 from probadapt.errors import MissingClassError
+from probadapt.trainer import TrainReport
 from probadapt.runner import (EPOCHS_HEADER, read_epochs_csv, read_grid_summary,
                               read_summary, run_experiment, run_grid, summary_metrics)
 
@@ -177,6 +179,39 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     div = tmp_path / "div.cfg"
     div.write_text(FAST + f"outputs = {tmp_path / 'cli_div'}\nschedule.eta0 = 1e300\n")
     assert main(["run", str(div)]) == EXIT_DIVERGED
+
+
+EXAMPLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+
+
+def test_collapsed_batch_128_run_reports_collapsed(tmp_path):
+    # The example config at batch 128 ends with every target prediction in
+    # one class (0.25 accuracy, chance for four classes).
+    text = EXAMPLE_CFG.read_text()
+    assert "train.batch_size = 16\n" in text and "outputs = runs/example\n" in text
+    text = text.replace("train.batch_size = 16\n", "train.batch_size = 128\n").replace(
+        "outputs = runs/example\n", f"outputs = {tmp_path / 'b128'}\n")
+    cfg_path = tmp_path / "b128.cfg"
+    cfg_path.write_text(text)
+    assert main(["run", str(cfg_path)]) == EXIT_DIVERGED
+    summary = read_summary(tmp_path / "b128" / "summary.json")
+    assert summary["status"] == "collapsed"
+    assert summary["final_target_accuracy"] == 0.25
+    rec = run_experiment(parse_config(text))
+    assert rec.status == "collapsed"
+    assert sorted(rec.report.final_prediction_counts) == [0, 0, 0, 200]
+    assert rec.report.final_admissible_classes == 4
+
+
+def test_collapse_needs_two_admissible_classes():
+    one_class = TrainReport(final_prediction_counts=(0, 9, 0), final_admissible_classes=3)
+    assert runner.collapsed(fast_cfg(), one_class)
+    spread = TrainReport(final_prediction_counts=(4, 5, 0), final_admissible_classes=3)
+    assert not runner.collapsed(fast_cfg(), spread)
+    # a partial-set mask keeping one class, or a one-class target
+    masked = TrainReport(final_prediction_counts=(0, 9, 0), final_admissible_classes=1)
+    assert not runner.collapsed(fast_cfg(), masked)
+    assert not runner.collapsed(fast_cfg("generator.target_class_count = 1\n"), one_class)
 
 
 def test_cli_fig1_subcommand(tmp_path):

@@ -12,9 +12,9 @@ from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
 from probadapt.trainer import (PdaConfig, ScheduleConfig, TrainConfig,
-                               beta_variant_eval, lambda_schedule, lr_schedule,
-                               pda_category_counts, pda_class_mask, pda_mask,
-                               step_losses_and_grads, train, train_step)
+                               lambda_schedule, lr_schedule, pda_category_counts,
+                               pda_class_mask, pda_mask, step_losses_and_grads, train,
+                               train_step)
 
 
 def tiny_setup(seed=0, n=6, c1=3, c2=5, dim=4):
@@ -233,13 +233,6 @@ def test_pda_mask_all_below_threshold_errors():
 
 def test_pda_default_threshold_is_reference_value():
     assert PdaConfig().threshold == 14
-
-
-# ------------------------------------------------------------- variants
-
-def test_beta_variant_eval_reexported():
-    p = np.array([0.25, 0.25, 0.25, 0.25])
-    assert beta_variant_eval("max_prob", p, p) == pytest.approx(0.25)
 
 
 # ------------------------------------------------------------ full train
