@@ -74,7 +74,14 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications for one computation."""
+    """Ordered record of primitive applications for one computation.
+
+    Every recorded :class:`Tensor` refers back to its tape, so a tape and its
+    nodes form a reference cycle. A caller done with a tape, after its last
+    :func:`backward` or a forward-only evaluation, clears ``nodes``; the
+    values and VJP closures are then freed as soon as the caller drops its
+    tensors, without waiting for the cyclic garbage collector.
+    """
 
     def __init__(self):
         self.nodes: list[Tensor] = []

@@ -220,6 +220,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         leaf_grads = ad.backward(node)
         grads[name] = {leaf_owner[leaf]: g for leaf, g in leaf_grads.items()
                        if leaf in leaf_owner}
+    tape.nodes.clear()
     return StepComputation(losses=values, grads=grads, cgi_state=state)
 
 

@@ -1,8 +1,13 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from probadapt import model
+from probadapt.autodiff import Tape
 from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from probadapt.model import (feature_extract, head_forward, init_params,
@@ -10,6 +15,7 @@ from probadapt.model import (feature_extract, head_forward, init_params,
                              predict_proba, pretrain, save_checkpoint, split_source)
 from probadapt.data import DomainDataset
 from probadapt.autodiff import EPS
+from probadapt.optim import SgdState, sgd_step
 from probadapt.seeding import rng_for
 
 
@@ -88,10 +94,37 @@ def test_pretrain_zero_epochs_chance_level():
     assert abs(heldout_accuracy(params, task) - 0.25) <= 0.15
 
 
-def test_pretrain_deterministic_and_head_untouched():
+PRETRAIN_ARGS = dict(task_classes=2, epochs=5, lr=0.05, seed=5)
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """Empties the pretraining memo and records each training that starts."""
+    monkeypatch.setattr(model, "_pretrain_memo", None)
+    started = []
+
+    def counting_init(*args, **kwargs):
+        started.append(args)
+        return init_params(*args, **kwargs)
+
+    monkeypatch.setattr(model, "init_params", counting_init)
+    return started
+
+
+def assert_same_bits(a, b):
+    for group in ("theta", "theta_g", "theta_h"):
+        assert a.group(group).keys() == b.group(group).keys()
+        for name, value in a.group(group).items():
+            assert value.shape == b.group(group)[name].shape
+            assert value.tobytes() == b.group(group)[name].tobytes()
+
+
+def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
     task = make_pretrain_task(pretrain_spec())
-    a = pretrain(task, task_classes=2, epochs=5, lr=0.05, seed=5)
-    b = pretrain(task, task_classes=2, epochs=5, lr=0.05, seed=5)
+    a = pretrain(task, **PRETRAIN_ARGS)
+    monkeypatch.setattr(model, "_pretrain_memo", None)
+    b = pretrain(task, **PRETRAIN_ARGS)
+    assert len(trainings) == 2
     for group in ("theta", "theta_g", "theta_h"):
         for name in a.group(group):
             assert np.array_equal(a.group(group)[name], b.group(group)[name])
@@ -100,11 +133,107 @@ def test_pretrain_deterministic_and_head_untouched():
         assert np.array_equal(a.theta_h[name], fresh.theta_h[name])
 
 
+def test_pretrain_memo_hit_equals_fresh_training(trainings):
+    first = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    # an equal task built anew: the memo compares content, not identity
+    hit = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    assert len(trainings) == 1
+    model._pretrain_memo = None
+    fresh = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    assert len(trainings) == 2
+    assert_same_bits(hit, fresh)
+    assert_same_bits(first, fresh)
+
+
+def test_pretrain_memo_survives_mutated_results(trainings):
+    task = make_pretrain_task(pretrain_spec())
+    first = pretrain(task, **PRETRAIN_ARGS)
+    reference = first.copy()
+    first.theta["w1"] *= 2.0
+    hit = pretrain(task, **PRETRAIN_ARGS)
+    hit.theta_g["b"][...] = 7.0
+    hit.theta_h.clear()
+    hit.theta["extra"] = np.zeros((1, 1))
+    stepped = pretrain(task, **PRETRAIN_ARGS)
+    sgd_step(stepped.theta, {k: np.ones_like(v) for k, v in stepped.theta.items()},
+             SgdState(momentum=0.9, weight_decay=5e-4), 0.1)
+    assert_same_bits(pretrain(task, **PRETRAIN_ARGS), reference)
+    assert len(trainings) == 1
+
+
+def _train_variants(train):
+    """The training split with one of the memo's key fields changed, by field."""
+    inputs, labels = train.inputs.copy(), train.labels.copy()
+    inputs[0, 0] += 1e-3
+    labels[0] = (labels[0] + 1) % train.class_count
+    return {
+        "inputs": replace(train, inputs=inputs),
+        "inputs_dtype": replace(train, inputs=train.inputs.astype(np.float32)),
+        "labels": replace(train, labels=labels),
+        "labels_dtype": replace(train, labels=train.labels.astype(np.int32)),
+        "class_count": replace(train, class_count=train.class_count + 1),
+    }
+
+
+ARG_VARIANTS = dict(task_classes=3, epochs=4, lr=0.04, seed=6, batch_size=16, momentum=0.8,
+                    weight_decay=1e-3)
+
+
+@pytest.mark.parametrize("field", ["inputs", "inputs_dtype", "labels", "labels_dtype",
+                                   "class_count", *ARG_VARIANTS])
+def test_pretrain_memo_misses_when_any_key_field_changes(trainings, field):
+    task = make_pretrain_task(pretrain_spec())
+    pretrain(task, **PRETRAIN_ARGS)
+    if field in ARG_VARIANTS:
+        pretrain(task, **dict(PRETRAIN_ARGS, **{field: ARG_VARIANTS[field]}))
+    else:
+        pretrain(replace(task, train=_train_variants(task.train)[field]), **PRETRAIN_ARGS)
+    assert len(trainings) == 2
+    # one entry only: the changed call replaced the first one
+    pretrain(task, **PRETRAIN_ARGS)
+    assert len(trainings) == 3
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_divergence_carries_epoch():
     task = make_pretrain_task(pretrain_spec())
     with pytest.raises(TrainingDivergedError, match="epoch"):
         pretrain(task, task_classes=2, epochs=5, lr=1e308, seed=5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pretrain_divergence_is_never_stored(trainings):
+    task = make_pretrain_task(pretrain_spec())
+    good = pretrain(task, **PRETRAIN_ARGS)
+    for attempt in range(2):
+        with pytest.raises(TrainingDivergedError, match="epoch"):
+            pretrain(task, **dict(PRETRAIN_ARGS, lr=1e308))
+        assert len(trainings) == 2 + attempt
+    assert_same_bits(pretrain(task, **PRETRAIN_ARGS), good)
+    assert len(trainings) == 3
+
+
+def test_pretraining_and_prediction_tapes_freed_without_cycle_collector(trainings,
+                                                                         monkeypatch):
+    tapes = []
+
+    class WatchedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(model, "Tape", WatchedTape)
+    task = make_pretrain_task(pretrain_spec())
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        params = pretrain(task, **PRETRAIN_ARGS)
+        predict_proba(params, "pretrained", task.heldout.inputs)
+        assert len(tapes) > 2
+        assert all(tape() is None for tape in tapes)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_prototype_constant_rows():

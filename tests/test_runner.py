@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probadapt import runner
+from probadapt import model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import parse_config
 from probadapt.errors import MissingClassError
+from probadapt.model import init_params
 from probadapt.trainer import TrainReport
 from probadapt.runner import (EPOCHS_HEADER, read_epochs_csv, read_grid_summary,
                               read_summary, run_experiment, run_grid, summary_metrics)
@@ -117,6 +118,38 @@ def test_grid_components_six_rows(tmp_path):
     grid_csv = (rec.out_dir / "components" / "grid_summary.csv").read_text().splitlines()
     assert grid_csv[0] == "point,status,final_target_accuracy"
     assert len(grid_csv) == 7
+
+
+def test_components_grid_pretrains_once_and_writes_the_same_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(model, "_pretrain_memo", None)
+    trainings = []
+
+    def counting_init(*args, **kwargs):
+        trainings.append(args)
+        return init_params(*args, **kwargs)
+
+    monkeypatch.setattr(model, "init_params", counting_init)
+
+    def grid_files():
+        # both grids write to the same place, so their config hashes agree
+        records = run_grid(fast_cfg(tmp_path=tmp_path), "components")
+        assert len(records) == 6
+        files = {path: path.read_bytes() for path in sorted((tmp_path / "out").rglob("*"))
+                 if path.is_file()}
+        assert len(files) == 1 + 2 * 6
+        return [r.status for r in records], files
+
+    shared = grid_files()
+    assert len(trainings) == 1
+
+    def pretrain_from_scratch(*args, **kwargs):
+        model._pretrain_memo = None
+        return model.pretrain(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "pretrain", pretrain_from_scratch)
+    fresh = grid_files()
+    assert len(trainings) == 1 + 6
+    assert shared == fresh
 
 
 def test_grid_pda_threshold_sweep(tmp_path):

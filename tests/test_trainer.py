@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -84,20 +86,48 @@ def test_gradient_routing_default():
 def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
     # CPA pairs every source row with every target row; no recorded value
     # may materialise those n_s * n_t pairs as rows.
+    # The step clears its tape when done, so nodes are recorded as they come.
     tapes = []
 
     class RecordingTape(Tape):
         def __init__(self):
             super().__init__()
+            self.recorded = []
             tapes.append(self)
+
+        def _register(self, node):
+            self.recorded.append(node)
+            return super()._register(node)
 
     monkeypatch.setattr(trainer, "Tape", RecordingTape)
     n = 64
     params, x_s, y_s, x_t, m = tiny_setup(n=n)
     step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
     (tape,) = tapes
-    assert len(tape.nodes) > 0
-    assert all(node.value.shape[0] != n * n for node in tape.nodes)
+    assert len(tape.recorded) > 0
+    assert all(node.value.shape[0] != n * n for node in tape.recorded)
+
+
+def test_step_tape_freed_without_cycle_collector(monkeypatch):
+    tapes = []
+
+    class WatchedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer, "Tape", WatchedTape)
+    params, x_s, y_s, x_t, m = tiny_setup()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        comp = step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+        (tape,) = tapes
+        assert tape() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert set(comp.grads) == {"cls", "cpa", "cgi"}
 
 
 def test_gradient_routing_backbone_toggle():
