@@ -12,6 +12,14 @@ maps, the three reductions (row_sum, col_sum, mean) and the fused pairwise
 entropy :func:`pair_entropy` behind the CPA loss, which builds only the pairs
 with a nonzero weight. The losses in this package are all expressible in
 these, plus :func:`clamp_floor` which is a composite.
+
+Inputs enter a tape as leaves, which :func:`backward` differentiates, or as
+constants, which it never does. Most primitives allocate their result and
+keep the arrays their VJP reads. :func:`pair_entropy` is the exception
+because its (P, c) pair arrays are the memory peak of a large step: one call
+allocates one block for two float buffers and one index buffer, works in
+place in it, and its VJP reuses the forward's spent buffer without touching
+the one it reads, so repeating the VJP is safe.
 """
 
 from __future__ import annotations
@@ -41,9 +49,9 @@ def as_matrix(value) -> np.ndarray:
 class Tensor:
     """A 2-D value recorded on a tape.
 
-    Leaves are created through :meth:`Tape.leaf`; every other tensor is the
-    output of a primitive and carries a vector-Jacobian product closure used
-    by :func:`backward`.
+    Leaves and constants are created through :meth:`Tape.leaf` and
+    :meth:`Tape.constant`; every other tensor is the output of a primitive and
+    carries a vector-Jacobian product closure used by :func:`backward`.
     """
 
     __slots__ = ("value", "tape", "index", "op", "inputs", "vjp")
@@ -91,20 +99,26 @@ class Tape:
         return len(self.nodes) - 1
 
     def leaf(self, value) -> Tensor:
-        """Record a differentiable input (parameter or constant)."""
+        """Record a differentiable input, such as a parameter.
+
+        :func:`backward` returns a gradient for every leaf that feeds its
+        output. The value is copied, so later changes to ``value`` do not
+        reach the tape.
+        """
         return Tensor(as_matrix(value).copy(), self, "leaf")
 
     def constant(self, value) -> Tensor:
-        """Alias of :meth:`leaf` used where a value is semantically detached.
+        """Record a detached input: an input batch, a target or a calibration
+        quantity that must not be trained.
 
-        Constants still receive gradients during :func:`backward`; callers
-        simply never apply them. Keeping them as leaves guarantees that no
-        gradient can flow *through* them into upstream parameters. A large
-        operand that never needs a gradient belongs in a primitive that takes
-        it as a plain array instead, as :func:`pair_entropy` does with its
-        weights.
+        :func:`backward` never accumulates a gradient into a constant and
+        never returns one for it. Recording a detached copy of a tensor's
+        value with ``tape.constant(t.value)`` stops every gradient at that
+        point, so none can flow through it into upstream parameters. A large
+        operand that never needs a gradient can instead be a plain array
+        argument of a primitive, as :func:`pair_entropy`'s weights are.
         """
-        return self.leaf(value)
+        return Tensor(as_matrix(value).copy(), self, "constant")
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -278,6 +292,17 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
     symmetrically for b_j. Each operand's gradient is one flat ``bincount``,
     which adds the pairs in (i, j) order, the order a sum over the dense
     broadcast array takes, so both gradients equal the dense ones bit for bit.
+
+    Buffers: all (P, c) storage of a call is one (3, P, c) block, two float
+    buffers and one index buffer, and the call computes in place in it. The
+    forward gathers a_i into ``work`` and b_j into ``log_s``, then turns
+    ``work`` into s and s log s and ``log_s`` into log s. Each VJP call
+    writes log s + 1 into ``work``, which the forward no longer needs, scales
+    it in place, and fills the index buffer with i*c + k for the first
+    ``bincount`` and then with j*c + k for the second. ``log_s`` is only
+    read, so a repeated VJP call returns the same gradients, and the arrays a
+    call returns never alias the block. The block is freed with the tape's
+    nodes.
     """
     tape = _same_tape(a, b)
     w = np.asarray(weights, dtype=np.float64)
@@ -294,23 +319,33 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
         finite = np.isfinite(av.max(axis=0) + bv.max(axis=0)).all()
     i, j = np.nonzero(w != 0.0)
     w_p = w[i, j]
-    # (P, c) work arrays are updated in place: they are the memory peak.
-    s = av[i]
-    s += bv[j]
-    log_s = np.log(s)
-    s *= log_s
+    # The (P, c) buffers are the memory peak, so they are updated in place,
+    # and they share one allocation: a heap that grows by a single block per
+    # step stays under glibc's trim threshold (twice the largest block freed),
+    # so the next step reuses its pages instead of faulting them in again.
+    block = np.empty((3, i.size, c))
+    # ``mode="clip"`` lets take write straight into ``out`` (``"raise"``
+    # buffers it); nonzero's indices are in range, so it never clips.
+    work = np.take(av, i, axis=0, out=block[0], mode="clip")
+    log_s = np.take(bv, j, axis=0, out=block[1], mode="clip")
+    work += log_s
+    np.log(work, out=log_s)
+    work *= log_s
     # Per-pair sum over k, then the weighted sum over the pairs.
-    per_pair = np.einsum("pk->p", s)
+    per_pair = np.einsum("pk->p", work)
     total = (w_p * per_pair).sum(keepdims=True).reshape(1, 1)
     if not finite:
         total = np.full((1, 1), np.nan)
 
     def vjp(g):
-        ds = log_s + 1.0
+        # ds overwrites ``work``; ``log_s`` stays intact for a repeated call.
+        ds = np.add(log_s, 1.0, out=work)
         ds *= ((g[0, 0] * -0.5) * w_p)[:, None]
         k = np.arange(c)
-        ga = np.bincount(((i * c)[:, None] + k).ravel(), ds.ravel(), n_a * c)
-        gb = np.bincount(((j * c)[:, None] + k).ravel(), ds.ravel(), n_b * c)
+        flat = np.add((i * c)[:, None], k, out=block[2].view(np.int64))
+        ga = np.bincount(flat.ravel(), ds.ravel(), n_a * c)
+        np.add((j * c)[:, None], k, out=flat)
+        gb = np.bincount(flat.ravel(), ds.ravel(), n_b * c)
         return ga.reshape(n_a, c), gb.reshape(n_b, c)
 
     return Tensor(total * -0.5 + 0.0, tape, "pair_entropy", (a, b), vjp)
@@ -330,7 +365,8 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
     ``output`` must be scalar (1x1). Returns a mapping from leaf tensors to
     their gradients; leaves with no path to the output are absent (their
-    gradient is identically zero).
+    gradient is identically zero). Constants (:meth:`Tape.constant`) never
+    receive a gradient, so they are never in the mapping.
     """
     if output.value.shape != (1, 1):
         raise ContractViolationError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -346,7 +382,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
             leaf_grads[node] = g
             continue
         for parent, pg in zip(node.inputs, node.vjp(g)):
-            if pg is None:
+            if pg is None or parent.op == "constant":
                 continue
             acc = grads.get(parent.index)
             grads[parent.index] = pg if acc is None else acc + pg

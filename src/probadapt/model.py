@@ -93,7 +93,7 @@ def feature_extract(theta: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     if x.shape[1] != expected:
         raise ContractViolationError(f"input width {x.shape[1]} != extractor width {expected}")
     tape = Tape()
-    features = feature_graph(leaves_for(tape, theta), tape.leaf(x)).value
+    features = feature_graph(leaves_for(tape, theta), tape.constant(x)).value
     tape.nodes.clear()
     return features
 
@@ -105,7 +105,7 @@ def head_forward(head: dict[str, np.ndarray], features: np.ndarray) -> np.ndarra
         raise ContractViolationError(
             f"feature width {features.shape[1]} != head width {head['w'].shape[0]}")
     tape = Tape()
-    probs = head_graph(leaves_for(tape, head), tape.leaf(features)).value
+    probs = head_graph(leaves_for(tape, head), tape.constant(features)).value
     tape.nodes.clear()
     return probs
 
@@ -157,7 +157,7 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
             tape = Tape()
             theta_leaves = leaves_for(tape, params.theta)
             g_leaves = leaves_for(tape, params.theta_g)
-            probs = head_graph(g_leaves, feature_graph(theta_leaves, tape.leaf(x[idx])))
+            probs = head_graph(g_leaves, feature_graph(theta_leaves, tape.constant(x[idx])))
             targets = np.zeros((len(idx), c2))
             targets[np.arange(len(idx)), y[idx]] = 1.0
             ce_rows = ad.row_sum(ad.mul(tape.constant(targets), ad.log(ad.clamp_floor(probs))))

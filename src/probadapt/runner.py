@@ -282,7 +282,16 @@ def read_grid_summary(path: Path) -> list[dict]:
 
 
 def _grid_aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> RunRecord:
-    status = "complete" if all(r.status == "complete" for r in records) else "incomplete"
+    """One record for a whole grid: ``incomplete`` if any point is
+    ``incomplete`` or ``failed``, else ``collapsed`` if any point collapsed,
+    else ``complete``."""
+    statuses = {r.status for r in records}
+    if statuses & {"incomplete", "failed"}:
+        status = "incomplete"
+    elif "collapsed" in statuses:
+        status = "collapsed"
+    else:
+        status = "complete"
     return RunRecord(mode=cfg.mode, seed=cfg.seed, config_hash=config_hash(cfg),
                      status=status, out_dir=resolve_out_dir(cfg),
                      summary={"status": status,

@@ -118,17 +118,15 @@ def lr_schedule(eta0: float, tau: float, upsilon: float, rho: float) -> float:
     return eta0 / (1.0 + tau * rho) ** upsilon
 
 
-def lambda_schedule(a: float, delta: float, rho: float, form: str = "logistic") -> float:
+def lambda_schedule(a: float, delta: float, rho: float) -> float:
     """Loss-weight ramp over normalised progress rho in [0, 1].
 
-    The logistic form a * (2 / (1 + exp(-delta * rho)) - 1) starts at 0 and
-    saturates at a; it is the only form.
+    The logistic ramp a * (2 / (1 + exp(-delta * rho)) - 1) starts at 0 and
+    saturates at a; it is the only form ``ScheduleConfig.lambda_form`` accepts.
     """
     if not (0.0 <= rho <= 1.0):
         raise ContractViolationError("rho must lie in [0, 1]")
-    if form == "logistic":
-        return a * (2.0 / (1.0 + math.exp(-delta * rho)) - 1.0)
-    raise ContractViolationError(f"unknown lambda form {form!r}")
+    return a * (2.0 / (1.0 + math.exp(-delta * rho)) - 1.0)
 
 
 def pda_category_counts(p_h_t_full: np.ndarray) -> np.ndarray:
@@ -186,8 +184,8 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         for name, leaf in leaves.items():
             leaf_owner[leaf] = (group, name)
 
-    f_s = feature_graph(theta_leaves, tape.leaf(x_s))
-    f_t = feature_graph(theta_leaves, tape.leaf(x_t))
+    f_s = feature_graph(theta_leaves, tape.constant(x_s))
+    f_t = feature_graph(theta_leaves, tape.constant(x_t))
     p_h_s = head_graph(h_leaves, f_s)
     p_g_s = head_graph(g_leaves, f_s)
     p_g_t = head_graph(g_leaves, f_t)
@@ -217,9 +215,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
 
     grads: dict[str, dict[tuple[str, str], np.ndarray]] = {}
     for name, node in (("cls", l_cls), ("cpa", l_cpa), ("cgi", l_cgi)):
-        leaf_grads = ad.backward(node)
-        grads[name] = {leaf_owner[leaf]: g for leaf, g in leaf_grads.items()
-                       if leaf in leaf_owner}
+        grads[name] = {leaf_owner[leaf]: g for leaf, g in ad.backward(node).items()}
     tape.nodes.clear()
     return StepComputation(losses=values, grads=grads, cgi_state=state)
 
@@ -245,10 +241,8 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
     progress = iteration / max(1, total_iterations)
     lams = {
         "lambda1": schedule.lambda1,
-        "lambda2": lambda_schedule(schedule.lambda2_a, schedule.delta, progress,
-                                   schedule.lambda_form),
-        "lambda3": lambda_schedule(schedule.lambda3_a, schedule.delta, progress,
-                                   schedule.lambda_form),
+        "lambda2": lambda_schedule(schedule.lambda2_a, schedule.delta, progress),
+        "lambda3": lambda_schedule(schedule.lambda3_a, schedule.delta, progress),
     }
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
 

@@ -83,6 +83,15 @@ def test_backward_unused_leaf_absent():
     assert np.array_equal(ad.grad_or_zero(grads, unused), [[0.0]])
 
 
+def test_backward_never_returns_constants():
+    tape = Tape()
+    x = tape.leaf([[1.0, 2.0]])
+    k = tape.constant([[3.0, 4.0]])
+    grads = ad.backward(ad.col_sum(ad.row_sum(ad.mul(x, k))))
+    assert list(grads) == [x]
+    assert np.array_equal(grads[x], [[3.0, 4.0]])
+
+
 def test_finite_difference_quadratic_is_tight():
     def build(tape, leaves):
         return ad.col_sum(ad.row_sum(ad.mul(leaves[0], leaves[0])))

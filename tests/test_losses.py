@@ -282,6 +282,26 @@ def test_pair_entropy_gradients_equal_broadcast_reference_bit_for_bit():
         assert np.array_equal(got[2], want[2])
 
 
+def test_pair_entropy_vjp_repeats_bit_for_bit():
+    # The VJP reuses the forward's buffers; a second call must see them intact
+    # and must leave the first call's results alone.
+    rng = rng_for(24, "test/pair-vjp-twice")
+    c = 16
+    a = np.maximum(rand_probs(rng, 12, c), EPS)
+    b = np.maximum(rand_probs(rng, 10, c), EPS)
+    w = same_class_weights(rng.integers(0, 4, size=12), rng.integers(0, 4, size=10), 4)
+    tape = Tape()
+    out = ad.pair_entropy(tape.leaf(a), tape.leaf(b), w)
+    g = np.array([[0.75]])
+    first = out.vjp(g)
+    kept = [x.copy() for x in first]
+    second = out.vjp(g)
+    for x, k, y in zip(first, kept, second):
+        assert x.tobytes() == k.tobytes()
+        assert y.tobytes() == k.tobytes()
+        assert not np.shares_memory(x, y)
+
+
 def test_pair_entropy_all_zero_weights():
     rng = rng_for(22, "test/pair-zero")
     a, b = rand_probs(rng, 4, 16), rand_probs(rng, 3, 16)

@@ -196,6 +196,19 @@ def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkey
         run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
 
 
+def test_grid_aggregate_status_precedence():
+    def aggregate(*statuses):
+        records = [runner.RunRecord(mode="uda", seed=1, config_hash="h", status=status,
+                                    out_dir=Path("p"), summary={"grid_point": f"p{k}"})
+                   for k, status in enumerate(statuses)]
+        return runner._grid_aggregate(fast_cfg(), records).status
+
+    assert aggregate("complete", "complete") == "complete"
+    assert aggregate("complete", "collapsed") == "collapsed"
+    assert aggregate("collapsed", "incomplete") == "incomplete"
+    assert aggregate("failed", "collapsed", "complete") == "incomplete"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

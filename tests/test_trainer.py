@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from probadapt import autodiff as ad
 from probadapt import trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
@@ -64,7 +65,7 @@ def test_lambda_form_exp_rejected():
     with pytest.raises(ConfigError, match="schedule.lambda_form"):
         parse_config("schedule.lambda_form = exp\n")
     with pytest.raises(ContractViolationError):
-        lambda_schedule(1.0, 10.0, 0.0, form="exp")
+        ScheduleConfig(lambda_form="exp")
 
 
 # ----------------------------------------------------------- train_step
@@ -81,6 +82,26 @@ def test_gradient_routing_default():
     assert {"theta", "theta_g"} <= cpa_groups
     cls_groups = {group for group, _ in comp.grads["cls"]}
     assert "theta_g" not in cls_groups
+
+
+def test_step_backward_returns_parameter_gradients_only(monkeypatch):
+    # Input batches, targets and detached values are constants, so each of the
+    # three passes returns the gradients of the parameters it reaches and no
+    # others: cls and cpa reach 6 extractor + 2 head parameters, cgi the 2
+    # task-head parameters.
+    returned = []
+    original = ad.backward
+
+    def recording(node):
+        grads = original(node)
+        returned.append(grads)
+        return grads
+
+    monkeypatch.setattr(ad, "backward", recording)
+    params, x_s, y_s, x_t, m = tiny_setup()
+    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    assert [len(grads) for grads in returned] == [8, 8, 2]
+    assert all(leaf.op == "leaf" for grads in returned for leaf in grads)
 
 
 def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
