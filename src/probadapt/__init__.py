@@ -14,7 +14,7 @@ from .data import (DomainDataset, GeneratorSpec, PretrainTask, Shift, UdaPair,
                    proxy_a_distance)
 from .errors import (ConfigError, ContractViolationError, DomainError,
                      MissingClassError, TrainingDivergedError)
-from .losses import (CgiState, beta_factor, beta_variant_eval, calibration_matrix,
+from .losses import (CgiState, beta_factor, calibration_matrix,
                      cgi_gradient_reference, cgi_loss, classification_loss, cpa_loss,
                      gini_impurity, js_divergence, pair_distance, prototype_regularizer,
                      pseudo_labels, source_weights, target_weights, transform_probability)
@@ -24,7 +24,7 @@ from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
 from .optim import SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid
 from .trainer import (PdaConfig, ScheduleConfig, TrainConfig, TrainReport,
-                      lambda_schedule, lr_schedule, pda_category_counts, pda_mask,
+                      lambda_schedule, lr_schedule, pda_category_counts,
                       train, train_step)
 
 __version__ = "0.1.0"

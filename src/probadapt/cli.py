@@ -7,7 +7,8 @@ Subcommands:
   selftest                 built-in invariant checks
 
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged
-(status "incomplete") or collapsed onto one class (status "collapsed"),
+(status "incomplete") or collapsed onto one class (status "collapsed"), or a
+grid point that failed with one of the package's errors (status "failed"),
 1 selftest failure.
 """
 

@@ -78,17 +78,11 @@ class ExperimentConfig:
             delta=self.delta, lambda_form=self.lambda_form)
 
     def train_config(self, with_pda: bool = False,
-                     cgi_updates_backbone: bool | None = None,
-                     beta_variant: str | None = None,
-                     penalty_variant: str | None = None,
                      pda_threshold: int | None = None) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
-            cgi_updates_backbone=(self.cgi_updates_backbone
-                                  if cgi_updates_backbone is None else cgi_updates_backbone),
-            beta_variant=self.beta_variant if beta_variant is None else beta_variant,
-            penalty_variant=(self.penalty_variant
-                             if penalty_variant is None else penalty_variant),
+            cgi_updates_backbone=self.cgi_updates_backbone,
+            beta_variant=self.beta_variant, penalty_variant=self.penalty_variant,
             pda=PdaConfig(self.pda_threshold if pda_threshold is None else pda_threshold)
             if with_pda else None,
             momentum=self.momentum, weight_decay=self.weight_decay,

@@ -260,43 +260,3 @@ def proxy_a_distance(space_s: np.ndarray, space_t: np.ndarray, seed: int) -> flo
     eps = _logistic_probe_error(x_tr, y_tr, x_te, y_te)
     return float(np.clip(2.0 * (1.0 - 2.0 * eps), 0.0, 2.0))
 
-
-def dump_dataset(ds: DomainDataset | UnlabeledDataset, path) -> None:
-    """Write a dataset as decimal text; exact float round-trip via repr."""
-    labeled = isinstance(ds, DomainDataset)
-    n, d = ds.inputs.shape
-    lines = [f"dataset v1 D={d} C={ds.class_count} n={n} domain={ds.domain_tag} labeled={int(labeled)}"]
-    for i in range(n):
-        row = " ".join(repr(float(v)) for v in ds.inputs[i])
-        if labeled:
-            lines.append(f"{int(ds.labels[i])} {row}")
-        else:
-            lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_dataset(path) -> DomainDataset | UnlabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split()
-    if header[:2] != ["dataset", "v1"]:
-        raise ContractViolationError(f"unrecognised dataset header: {lines[0]!r}")
-    fields = dict(part.split("=", 1) for part in header[2:])
-    d, c, n = int(fields["D"]), int(fields["C"]), int(fields["n"])
-    labeled = fields["labeled"] == "1"
-    if len(lines) - 1 != n:
-        raise ContractViolationError(f"expected {n} rows, found {len(lines) - 1}")
-    inputs = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if labeled:
-            labels[i] = int(parts[0])
-            parts = parts[1:]
-        if len(parts) != d:
-            raise ContractViolationError(f"row {i} has {len(parts)} values, expected {d}")
-        inputs[i] = [float(p) for p in parts]
-    if labeled:
-        return DomainDataset(inputs, labels, fields["domain"], c)
-    return UnlabeledDataset(inputs, fields["domain"], c)

@@ -103,13 +103,6 @@ def gini_impurity(p: np.ndarray) -> float:
     return float(np.sum(rows, axis=0, keepdims=True)[0, 0])
 
 
-def gibbs_entropy(p: np.ndarray) -> float:
-    """Sum over rows of -sum(p * log p), clamped."""
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    rows = np.sum(p * np.log(clamp_probs(p)), axis=1, keepdims=True) * -1.0 + 0.0
-    return float(np.sum(rows, axis=0, keepdims=True)[0, 0])
-
-
 def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """KL(a_i || b_i) per row, both sides clamped.
 
@@ -139,11 +132,6 @@ def transform_probability(p_g_t: np.ndarray, prototype: np.ndarray) -> np.ndarra
 def beta_factor(p_tilde_row: np.ndarray, p_h_row: np.ndarray) -> float:
     """exp(-KL(p_tilde || p_h)): 1 when the two agree, decaying toward 0."""
     return float(np.exp(-_kl_rows(np.atleast_2d(p_tilde_row), np.atleast_2d(p_h_row))[0]))
-
-
-def beta_variant_eval(variant: str, p_h_row: np.ndarray, p_tilde_row: np.ndarray) -> float:
-    """One calibration factor for a single sample under the chosen rule."""
-    return float(beta_values(variant, np.atleast_2d(p_h_row), np.atleast_2d(p_tilde_row))[0, 0])
 
 
 def beta_values(variant: str, p_h: np.ndarray, p_tilde: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import losses
 from .autodiff import EPS, Tape, Tensor
 from .data import DomainDataset, PretrainTask, UnlabeledDataset, accuracy, proxy_a_distance
 from .errors import ContractViolationError, MissingClassError, TrainingDivergedError
@@ -158,10 +159,7 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
             theta_leaves = leaves_for(tape, params.theta)
             g_leaves = leaves_for(tape, params.theta_g)
             probs = head_graph(g_leaves, feature_graph(theta_leaves, tape.constant(x[idx])))
-            targets = np.zeros((len(idx), c2))
-            targets[np.arange(len(idx)), y[idx]] = 1.0
-            ce_rows = ad.row_sum(ad.mul(tape.constant(targets), ad.log(ad.clamp_floor(probs))))
-            loss = ad.scalar_affine(ad.mean(ce_rows), -1.0, 0.0)
+            loss = losses.classification_loss(probs, y[idx])
             if not np.isfinite(loss.item()):
                 raise TrainingDivergedError(f"pretraining loss non-finite at epoch {epoch}")
             grads = ad.backward(loss)

@@ -2,18 +2,20 @@
 partial-set extension.
 
 Each step computes three losses on one tape and backpropagates them
-separately so gradients can be routed per parameter group:
+separately. The graph alone decides which parameter groups each loss reaches:
 
 * extractor        <- classification + alignment (and the target penalty
                       only when ``cgi_updates_backbone`` is set)
 * pretrained head  <- alignment only
 * task head        <- classification + target penalty, at 10x the base rate
 
-The target penalty's transformed probabilities, calibration factors and
-pseudo-label weights are all computed from detached values, so it cannot
-touch the extractor or the pretrained head by construction. A parameter
-group whose loss weights are all exactly zero is not stepped at all (weight
-decay must not mutate groups with no objective).
+The task head reads detached target features unless ``cgi_updates_backbone``
+is set, and the alignment coefficients and the penalty's transformed
+probabilities, calibration factors and pseudo-label weights are computed from
+detached values, so the penalty cannot touch the pretrained head and
+alignment cannot touch the task head. A group that every reaching loss weighs
+at exactly zero receives nothing and is not stepped at all (weight decay must
+not mutate groups with no objective).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tape
-from .data import DomainDataset, UdaPair, UnlabeledDataset, accuracy
+from .data import UdaPair, UnlabeledDataset, accuracy
 from .errors import ContractViolationError, TrainingDivergedError
 from .model import (ParamGroups, feature_graph, fig1_analog, head_graph,
                     learn_prototype, leaves_for, predict_proba, split_source)
@@ -148,22 +150,12 @@ def pda_class_mask(counts: np.ndarray, threshold: int) -> np.ndarray:
     return mask
 
 
-def pda_mask(p_h_row: np.ndarray, counts: np.ndarray, threshold: int) -> np.ndarray:
-    """Zero out the row's probabilities for classes below the threshold.
-
-    The masked row is deliberately not renormalised; argmax and the
-    column-normalised weights are unaffected by the missing mass.
-    """
-    return np.asarray(p_h_row, dtype=np.float64) * pda_class_mask(counts, threshold)
-
-
 @dataclass
 class StepComputation:
-    """Losses, per-loss per-group gradients, and the detached penalty state."""
+    """Losses and, per loss, its gradients keyed by (group, parameter name)."""
 
     losses: dict[str, float]
     grads: dict[str, dict[tuple[str, str], np.ndarray]]
-    cgi_state: losses.CgiState | None
 
 
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
@@ -217,15 +209,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
     for name, node in (("cls", l_cls), ("cpa", l_cpa), ("cgi", l_cgi)):
         grads[name] = {leaf_owner[leaf]: g for leaf, g in ad.backward(node).items()}
     tape.nodes.clear()
-    return StepComputation(losses=values, grads=grads, cgi_state=state)
-
-
-# Which losses feed each group; the penalty joins "theta" only on request.
-_GROUP_TERMS = {
-    "theta": (("lambda1", "cls"), ("lambda2", "cpa")),
-    "theta_g": (("lambda2", "cpa"),),
-    "theta_h": (("lambda1", "cls"), ("lambda3", "cgi")),
-}
+    return StepComputation(losses=values, grads=grads)
 
 
 def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
@@ -235,39 +219,35 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
                class_mask: np.ndarray | None = None) -> dict[str, float]:
     """One coupled update of all three groups; returns the loss record.
 
-    Groups whose active loss weights are all zero are left untouched.
+    Each loss with a nonzero weight adds its weighted gradients to the groups
+    its graph reached (see the module docstring); a group that received
+    nothing is left untouched.
     """
     eta = lr_schedule(schedule.eta0, schedule.tau, schedule.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
-    lams = {
-        "lambda1": schedule.lambda1,
-        "lambda2": lambda_schedule(schedule.lambda2_a, schedule.delta, progress),
-        "lambda3": lambda_schedule(schedule.lambda3_a, schedule.delta, progress),
-    }
+    lambda2 = lambda_schedule(schedule.lambda2_a, schedule.delta, progress)
+    lambda3 = lambda_schedule(schedule.lambda3_a, schedule.delta, progress)
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
 
-    for group, terms in _GROUP_TERMS.items():
-        if group == "theta" and config.cgi_updates_backbone:
-            terms = terms + (("lambda3", "cgi"),)
-        active = [(lams[lam], loss) for lam, loss in terms if lams[lam] != 0.0]
-        if not active:
+    group_grads: dict[str, dict[str, np.ndarray]] = {
+        "theta": {}, "theta_g": {}, "theta_h": {}}
+    for weight, loss_name in ((schedule.lambda1, "cls"), (lambda2, "cpa"), (lambda3, "cgi")):
+        if weight == 0.0:
             continue
-        gdict: dict[str, np.ndarray] = {}
-        for weight, loss_name in active:
-            for (grp, pname), g in comp.grads[loss_name].items():
-                if grp != group:
-                    continue
-                gdict[pname] = gdict.get(pname, 0.0) + weight * g
-        lr = eta * (schedule.head_lr_multiplier if group == "theta_h" else 1.0)
-        sgd_step(params.group(group), gdict, opt_states[group], lr)
+        for (group, pname), g in comp.grads[loss_name].items():
+            gdict = group_grads[group]
+            gdict[pname] = gdict.get(pname, 0.0) + weight * g
+    for group, gdict in group_grads.items():
+        if gdict:
+            lr = eta * (schedule.head_lr_multiplier if group == "theta_h" else 1.0)
+            sgd_step(params.group(group), gdict, opt_states[group], lr)
 
     record = dict(comp.losses)
-    record.update(eta=eta, lambda2=lams["lambda2"], lambda3=lams["lambda3"])
+    record.update(eta=eta, lambda2=lambda2, lambda3=lambda3)
     return record
 
 
-def _batch_stream(n: int, batch_size: int, need: int, seed: int, label: str,
-                  epoch: int) -> np.ndarray:
+def _batch_stream(n: int, need: int, seed: int, label: str, epoch: int) -> np.ndarray:
     """Indices covering ``need`` positions by reshuffling-and-cycling n items."""
     chunks = []
     total = 0
@@ -328,10 +308,8 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
             counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
             class_mask = pda_class_mask(counts, config.pda.threshold)
         need = per_epoch * config.batch_size
-        src_stream = _batch_stream(n_s, config.batch_size, need, config.seed,
-                                   "train/shuffle/source", epoch)
-        tgt_stream = _batch_stream(n_t, config.batch_size, need, config.seed,
-                                   "train/shuffle/target", epoch)
+        src_stream = _batch_stream(n_s, need, config.seed, "train/shuffle/source", epoch)
+        tgt_stream = _batch_stream(n_t, need, config.seed, "train/shuffle/target", epoch)
         sums = {"cls": 0.0, "cpa": 0.0, "cgi": 0.0}
         last = {}
         for b in range(per_epoch):

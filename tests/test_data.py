@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from probadapt.data import (DomainDataset, GeneratorSpec, Shift, UnlabeledDataset,
-                            accuracy, dump_dataset, load_dataset, make_pretrain_task,
-                            make_uda_pair, proxy_a_distance)
+from probadapt.data import (GeneratorSpec, Shift, accuracy, make_pretrain_task, make_uda_pair,
+                            proxy_a_distance)
 from probadapt.errors import ContractViolationError
 from probadapt.seeding import rng_for
 
@@ -126,35 +125,6 @@ def test_proxy_distance_contracts():
         proxy_a_distance(rng.normal(size=(5, 3)), rng.normal(size=(50, 3)), seed=0)
     with pytest.raises(ContractViolationError):
         proxy_a_distance(rng.normal(size=(50, 3)), rng.normal(size=(50, 4)), seed=0)
-
-
-def test_dump_load_round_trip_labeled(tmp_path):
-    pair = make_uda_pair(spec())
-    path = tmp_path / "source.txt"
-    dump_dataset(pair.source, path)
-    loaded = load_dataset(path)
-    assert isinstance(loaded, DomainDataset)
-    assert np.array_equal(loaded.inputs, pair.source.inputs)
-    assert np.array_equal(loaded.labels, pair.source.labels)
-    assert loaded.domain_tag == "source"
-    assert loaded.class_count == pair.source.class_count
-
-
-def test_dump_load_round_trip_unlabeled(tmp_path):
-    pair = make_uda_pair(spec())
-    path = tmp_path / "target.txt"
-    dump_dataset(pair.target, path)
-    loaded = load_dataset(path)
-    assert isinstance(loaded, UnlabeledDataset)
-    assert not hasattr(loaded, "labels")
-    assert np.array_equal(loaded.inputs, pair.target.inputs)
-
-
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("something else\n1 2 3\n")
-    with pytest.raises(ContractViolationError):
-        load_dataset(path)
 
 
 def test_fig1_analog_zero_shift_distances_near_zero():

@@ -467,13 +467,13 @@ def test_beta_bounds_thousand_pairs():
 def test_beta_variants():
     p = np.array([0.25, 0.25, 0.25, 0.25])
     pt = np.array([0.4, 0.3, 0.2, 0.1])
-    assert L.beta_variant_eval("constant_half", p, pt) == 0.5
+    assert L.beta_values("constant_half", p, pt)[0, 0] == 0.5
     onehot = np.array([1.0, 0.0, 0.0, 0.0])
-    assert L.beta_variant_eval("exp_neg_entropy", onehot, pt) == pytest.approx(1.0, abs=1e-9)
-    assert L.beta_variant_eval("max_prob", p, pt) == pytest.approx(0.25)
-    assert L.beta_variant_eval("exp_neg_kl", p, p) == pytest.approx(1.0, abs=1e-12)
+    assert L.beta_values("exp_neg_entropy", onehot, pt)[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert L.beta_values("max_prob", p, pt)[0, 0] == pytest.approx(0.25)
+    assert L.beta_values("exp_neg_kl", p, p)[0, 0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ContractViolationError):
-        L.beta_variant_eval("nope", p, pt)
+        L.beta_values("nope", p, pt)
 
 
 # ------------------------------------------------------------------ cgi
@@ -535,6 +535,13 @@ def test_cgi_gradient_beta_one_is_minus_two_p():
     assert np.allclose(ref, -2.0 * p)
 
 
+def gibbs_entropy(p):
+    """Reference GE penalty: sum over rows of -sum(p * log p), clamped."""
+    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    rows = np.sum(p * np.log(L.clamp_probs(p)), axis=1, keepdims=True) * -1.0 + 0.0
+    return float(np.sum(rows, axis=0, keepdims=True)[0, 0])
+
+
 def test_penalty_variants_values():
     rng = rng_for(13, "test/pen")
     n, c1, c2 = 4, 3, 5
@@ -543,7 +550,7 @@ def test_penalty_variants_values():
     m = rand_prototype(rng, c1, c2)
     state = L.cgi_state(p, g, m)
     ge = L.target_penalty_loss(p, None, "GE").item()
-    assert ge == pytest.approx(L.gibbs_entropy(p), abs=1e-12)
+    assert ge == pytest.approx(gibbs_entropy(p), abs=1e-12)
     gi = L.target_penalty_loss(p, None, "GI").item()
     assert gi == pytest.approx(L.gini_impurity(p), abs=1e-12)
     noreg = L.target_penalty_loss(p, state, "CGI_noreg").item()

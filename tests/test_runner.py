@@ -190,6 +190,9 @@ def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkey
     records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
     assert [r.status for r in records] == ["failed"] * 4
     assert records[0].summary["error"] == "no class 2"
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(FAST + f"outputs = {tmp_path / 'cli_grid'}\n")
+    assert main(["grid", str(cfg_path), "--axis", "beta_variant"]) == EXIT_DIVERGED
 
     monkeypatch.setattr(runner, "run_experiment", raising(TypeError("bad argument")))
     with pytest.raises(TypeError, match="bad argument"):

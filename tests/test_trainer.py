@@ -16,7 +16,7 @@ from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
 from probadapt.trainer import (PdaConfig, ScheduleConfig, TrainConfig,
                                lambda_schedule, lr_schedule, pda_category_counts,
-                               pda_class_mask, pda_mask, step_losses_and_grads, train,
+                               pda_class_mask, step_losses_and_grads, train,
                                train_step)
 
 
@@ -219,12 +219,14 @@ def test_step_supervised_matches_manual_composition():
             assert np.array_equal(params_a.group(group)[k], params_b.group(group)[k])
 
 
-def test_step_full_combination_matches_manual_recomposition():
+@pytest.mark.parametrize("backbone", [False, True])
+def test_step_full_combination_matches_manual_recomposition(backbone):
     # the lambda-weighted per-group combination must equal recombining the
-    # per-loss gradients by hand and stepping each group independently
+    # per-loss gradients by hand and stepping each group independently; the
+    # penalty joins the extractor's terms only when the flag asks for it
     params_a, x_s, y_s, x_t, m = tiny_setup(seed=8)
     params_b = params_a.copy()
-    cfg = TrainConfig(cgi_updates_backbone=True)
+    cfg = TrainConfig(cgi_updates_backbone=backbone)
     sched = ScheduleConfig()
     iteration, total = 7, 10
     rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, sched, cfg,
@@ -237,7 +239,10 @@ def test_step_full_combination_matches_manual_recomposition():
     lam2 = lambda_schedule(sched.lambda2_a, sched.delta, iteration / total)
     lam3 = lambda_schedule(sched.lambda3_a, sched.delta, iteration / total)
     assert rec["lambda2"] == lam2 and rec["lambda3"] == lam3 and rec["eta"] == eta
-    combos = {"theta": ((sched.lambda1, "cls"), (lam2, "cpa"), (lam3, "cgi")),
+    theta_terms = ((sched.lambda1, "cls"), (lam2, "cpa"))
+    if backbone:
+        theta_terms += ((lam3, "cgi"),)
+    combos = {"theta": theta_terms,
               "theta_g": ((lam2, "cpa"),),
               "theta_h": ((sched.lambda1, "cls"), (lam3, "cgi"))}
     for group, terms in combos.items():
@@ -269,12 +274,12 @@ def test_pda_counts_empty():
 
 def test_pda_mask_threshold_zero_identity():
     p = np.array([0.3, 0.5, 0.2])
-    assert np.array_equal(pda_mask(p, np.array([5, 0, 7]), 0), p)
+    assert np.array_equal(p * pda_class_mask(np.array([5, 0, 7]), 0), p)
 
 
 def test_pda_mask_hand_case():
     p = np.array([0.3, 0.5, 0.2])
-    assert np.allclose(pda_mask(p, np.array([5, 1, 7]), 2), [0.3, 0.0, 0.2])
+    assert np.allclose(p * pda_class_mask(np.array([5, 1, 7]), 2), [0.3, 0.0, 0.2])
 
 
 def test_pda_mask_all_below_threshold_errors():
