@@ -8,7 +8,7 @@ import numpy as np
 
 from probadapt import autodiff as ad
 from probadapt.autodiff import Tape
-from probadapt.optim import SgdState, sgd_step
+from probadapt.optim import ParamGroup, SgdState, sgd_step
 
 # --- record a tiny computation on a tape ---------------------------------
 tape = Tape()
@@ -32,9 +32,11 @@ err = ad.finite_difference_check(build, [x.value, w.value])
 print(f"max relative error vs finite differences: {err:.2e}")
 
 # --- a few optimizer steps -------------------------------------------------
-params = {"w": np.array([[1.0, 1.0]])}
+# A parameter group keeps its named tensors as views of one flat vector; the
+# step updates that vector in place, so params["w"] follows it.
+params = ParamGroup({"w": np.array([[1.0, 1.0]])})
 state = SgdState(momentum=0.9, weight_decay=5e-4)
 for step in range(3):
-    grad = {"w": params["w"] * 0.5}          # gradient of 0.25*|w|^2
-    sgd_step(params, grad, state, lr=0.1)
+    grad = params.flat * 0.5                 # gradient of 0.25*|w|^2
+    sgd_step([(params, grad, state, 0.1)])
     print(f"step {step}: w = {params['w'].ravel()}")

@@ -21,7 +21,7 @@ from .losses import (CgiState, beta_factor, calibration_matrix,
 from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
                     init_params, learn_prototype, load_checkpoint, predict_proba,
                     pretrain, save_checkpoint, split_source)
-from .optim import SgdState, sgd_step
+from .optim import ParamGroup, SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid
 from .trainer import (PdaConfig, ScheduleConfig, TrainConfig, TrainReport,
                       lambda_schedule, lr_schedule, pda_category_counts,

@@ -8,18 +8,22 @@ what :func:`backward` does.
 
 The primitive set is deliberately tiny: matmul, broadcasting add (op name
 "add_bias"), relu, row softmax, elementwise log / mul / pow, scalar affine
-maps, the three reductions (row_sum, col_sum, mean) and the fused pairwise
-entropy :func:`pair_entropy` behind the CPA loss, which builds only the pairs
-with a nonzero weight. The losses in this package are all expressible in
-these, plus :func:`clamp_floor` which is a composite.
+maps, the floor clamp :func:`clamp_floor` in front of every log, the three
+reductions (row_sum, col_sum, mean) and the fused pairwise entropy
+:func:`pair_entropy` behind the CPA loss, which builds only the pairs with a
+nonzero weight. The losses in this package are all expressible in these.
 
 Inputs enter a tape as leaves, which :func:`backward` differentiates, or as
-constants, which it never does. Most primitives allocate their result and
-keep the arrays their VJP reads. :func:`pair_entropy` is the exception
-because its (P, c) pair arrays are the memory peak of a large step: one call
-allocates one block for two float buffers and one index buffer, works in
-place in it, and its VJP reuses the forward's spent buffer without touching
-the one it reads, so repeating the VJP is safe.
+constants, which it never does. The binary primitives matmul, add and mul
+note at build time which operands are constants, and their VJPs return None
+for those instead of computing a product nobody reads.
+
+Most primitives allocate their result and keep the arrays their VJP reads.
+:func:`pair_entropy` is the exception because its (P, c) pair arrays are the
+memory peak of a large step: one call allocates one block for two float
+buffers and one index buffer, works in place in it, and its VJP reuses the
+forward's spent buffer without touching the one it reads, so repeating the
+VJP is safe.
 """
 
 from __future__ import annotations
@@ -112,11 +116,13 @@ class Tape:
         quantity that must not be trained.
 
         :func:`backward` never accumulates a gradient into a constant and
-        never returns one for it. Recording a detached copy of a tensor's
-        value with ``tape.constant(t.value)`` stops every gradient at that
-        point, so none can flow through it into upstream parameters. A large
-        operand that never needs a gradient can instead be a plain array
-        argument of a primitive, as :func:`pair_entropy`'s weights are.
+        never returns one for it, and matmul, add and mul compute no VJP
+        product for a constant operand, so a constant costs no VJP work.
+        Recording a detached copy of a tensor's value with
+        ``tape.constant(t.value)`` stops every gradient at that point, so none
+        can flow through it into upstream parameters. A large operand that
+        never needs a gradient can instead be a plain array argument of a
+        primitive, as :func:`pair_entropy`'s weights are.
         """
         return Tensor(as_matrix(value).copy(), self, "constant")
 
@@ -146,9 +152,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ContractViolationError(f"matmul shapes {a.shape} x {b.shape} do not conform")
     av, bv = a.value, b.value
+    need_a, need_b = a.op != "constant", b.op != "constant"
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
 
     return Tensor(av @ bv, tape, "matmul", (a, b), vjp)
 
@@ -165,9 +172,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ContractViolationError(f"add shapes {a.shape} + {b.shape}: {exc}") from exc
     ash, bsh = a.shape, b.shape
+    need_a, need_b = a.op != "constant", b.op != "constant"
 
     def vjp(g):
-        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
+        return ((_unbroadcast(g, ash) if need_a else None),
+                (_unbroadcast(g, bsh) if need_b else None))
 
     return Tensor(value, tape, "add_bias", (a, b), vjp)
 
@@ -213,9 +222,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise ContractViolationError(f"mul shapes {a.shape} * {b.shape}: {exc}") from exc
     av, bv, ash, bsh = a.value, b.value, a.shape, b.shape
+    need_a, need_b = a.op != "constant", b.op != "constant"
 
     def vjp(g):
-        return _unbroadcast(g * bv, ash), _unbroadcast(g * av, bsh)
+        return ((_unbroadcast(g * bv, ash) if need_a else None),
+                (_unbroadcast(g * av, bsh) if need_b else None))
 
     return Tensor(value, tape, "elementwise_mul", (a, b), vjp)
 
@@ -352,12 +363,24 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
 
 
 def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
-    """max(x, floor), composed from relu and scalar affine maps.
+    """max(x, floor) as max(x - floor, 0) + floor, in one node.
 
     Standard guard in front of log / KL evaluations; the subgradient is zero
-    at and below the floor.
+    at and below the floor. The rounding steps are those of the composite
+    ``scalar_affine(relu(scalar_affine(x, 1.0, -floor)), 1.0, floor)``, whose
+    products with 1.0 are exact, so value and gradient equal it bit for bit.
     """
-    return scalar_affine(relu(scalar_affine(x, 1.0, -floor)), 1.0, floor)
+    floor = float(floor)
+    shifted = x.value - floor
+    mask = shifted > 0.0
+
+    def vjp(g):
+        return (g * mask,)
+
+    # np.maximum (not where) so NaN propagates instead of flushing to zero
+    value = np.maximum(shifted, 0.0, out=shifted)
+    value += floor
+    return Tensor(value, x.tape, "clamp_floor", (x,), vjp)
 
 
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:

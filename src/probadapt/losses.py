@@ -29,10 +29,14 @@ def clamp_probs(p: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(p, dtype=np.float64), EPS)
 
 
-def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _check_label_range(labels: np.ndarray, classes: int) -> None:
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ContractViolationError("label out of range")
+
+
+def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    _check_label_range(labels, classes)
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -306,7 +310,7 @@ def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
         raise ContractViolationError("labels do not match the batch")
     if not (0.0 <= smoothing < 1.0):
         raise ContractViolationError("smoothing must lie in [0, 1)")
-    hot = one_hot(labels, c)
+    _check_label_range(labels, c)
     tape = p.tape
     if focal_gamma is None:
         targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
@@ -317,7 +321,7 @@ def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
     gamma = float(focal_gamma)
     if gamma != 0.0 and gamma < 1.0:
         raise ContractViolationError("focal_gamma must be 0 or >= 1")
-    p_true = ad.row_sum(ad.mul(tape.constant(hot), p))
+    p_true = ad.row_sum(ad.mul(tape.constant(one_hot(labels, c)), p))
     neg_log = ad.scalar_affine(ad.log(ad.clamp_floor(p_true)), -1.0, 0.0)
     if gamma == 0.0:
         return ad.mean(neg_log)

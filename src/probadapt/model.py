@@ -20,7 +20,7 @@ from . import losses
 from .autodiff import EPS, Tape, Tensor
 from .data import DomainDataset, PretrainTask, UnlabeledDataset, accuracy, proxy_a_distance
 from .errors import ContractViolationError, MissingClassError, TrainingDivergedError
-from .optim import SgdState, sgd_step
+from .optim import ParamGroup, SgdState, sgd_step
 from .seeding import rng_for
 
 HIDDEN_DIMS = (64, 64)
@@ -29,20 +29,22 @@ FEATURE_DIM = 32
 
 @dataclass
 class ParamGroups:
-    """The three disjoint trainable parameter sets."""
+    """The three disjoint trainable parameter sets.
 
-    theta: dict[str, np.ndarray]
-    theta_g: dict[str, np.ndarray]
-    theta_h: dict[str, np.ndarray]
+    Each group keeps its tensors in one flat vector (:class:`ParamGroup`).
+    The named tensors are views of that vector: training updates the vector
+    in place and never rebinds a view, so a reference to ``theta["w1"]``
+    follows every step.
+    """
+
+    theta: ParamGroup
+    theta_g: ParamGroup
+    theta_h: ParamGroup
 
     def copy(self) -> "ParamGroups":
-        return ParamGroups(
-            {k: v.copy() for k, v in self.theta.items()},
-            {k: v.copy() for k, v in self.theta_g.items()},
-            {k: v.copy() for k, v in self.theta_h.items()},
-        )
+        return ParamGroups(self.theta.copy(), self.theta_g.copy(), self.theta_h.copy())
 
-    def group(self, name: str) -> dict[str, np.ndarray]:
+    def group(self, name: str) -> ParamGroup:
         if name not in ("theta", "theta_g", "theta_h"):
             raise ContractViolationError(f"unknown parameter group {name!r}")
         return getattr(self, name)
@@ -66,7 +68,7 @@ def init_params(input_dim: int, pretrain_classes: int, task_classes: int, seed: 
     rng_h = rng_for(seed, "init/theta_h")
     theta_h = {"w": _dense_init(rng_h, FEATURE_DIM, task_classes),
                "b": np.zeros((1, task_classes))}
-    return ParamGroups(theta, theta_g, theta_h)
+    return ParamGroups(ParamGroup(theta), ParamGroup(theta_g), ParamGroup(theta_h))
 
 
 def feature_graph(theta: dict[str, Tensor], x: Tensor) -> Tensor:
@@ -164,9 +166,13 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
                 raise TrainingDivergedError(f"pretraining loss non-finite at epoch {epoch}")
             grads = ad.backward(loss)
             tape.nodes.clear()
-            for group, leaves in (("theta", theta_leaves), ("theta_g", g_leaves)):
-                gdict = {name: ad.grad_or_zero(grads, leaf) for name, leaf in leaves.items()}
-                sgd_step(params.group(group), gdict, states[group], lr)
+            # Each leaf dict follows its group's order, so the gradients
+            # concatenate into the group's flat layout.
+            sgd_step([(params.group(group),
+                       np.concatenate([ad.grad_or_zero(grads, leaf).ravel()
+                                       for leaf in leaves.values()]),
+                       states[group], lr)
+                      for group, leaves in (("theta", theta_leaves), ("theta_g", g_leaves))])
     _pretrain_memo = (key, params.copy())
     return params
 
@@ -290,7 +296,7 @@ def load_checkpoint(path) -> ParamGroups:
         groups[group][name] = arr
         i += 1 + rows
     _check_checkpoint_shapes(groups)
-    return ParamGroups(groups["theta"], groups["theta_g"], groups["theta_h"])
+    return ParamGroups(*(ParamGroup(groups[g]) for g in ("theta", "theta_g", "theta_h")))
 
 
 def _check_checkpoint_shapes(groups: dict[str, dict[str, np.ndarray]]) -> None:

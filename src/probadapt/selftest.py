@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tape
-from .optim import SgdState, sgd_step
+from .optim import ParamGroup, SgdState, sgd_step
 from .seeding import rng_for
 from .trainer import lambda_schedule, lr_schedule
 
@@ -85,9 +85,9 @@ def _check_gradients(rng):
 
 
 def _check_sgd_plain(rng):
-    p = {"w": np.array([[1.0, -2.0]])}
-    g = {"w": np.array([[0.5, 0.5]])}
-    sgd_step(p, g, SgdState(momentum=0.0, weight_decay=0.0), lr=1.0)
+    p = ParamGroup({"w": np.array([[1.0, -2.0]])})
+    g = np.array([0.5, 0.5])
+    sgd_step([(p, g, SgdState(momentum=0.0, weight_decay=0.0), 1.0)])
     return np.array_equal(p["w"], np.array([[0.5, -2.5]]))
 
 

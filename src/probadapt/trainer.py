@@ -219,9 +219,11 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
                class_mask: np.ndarray | None = None) -> dict[str, float]:
     """One coupled update of all three groups; returns the loss record.
 
-    Each loss with a nonzero weight adds its weighted gradients to the groups
-    its graph reached (see the module docstring); a group that received
-    nothing is left untouched.
+    Each loss with a nonzero weight adds its weighted gradients into a zeroed
+    flat gradient of each group its graph reached (see the module docstring);
+    a group that received nothing is left untouched. The reached groups are
+    stepped together, so a non-finite gradient in any of them leaves all
+    three unchanged.
     """
     eta = lr_schedule(schedule.eta0, schedule.tau, schedule.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
@@ -229,18 +231,22 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
     lambda3 = lambda_schedule(schedule.lambda3_a, schedule.delta, progress)
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
 
-    group_grads: dict[str, dict[str, np.ndarray]] = {
-        "theta": {}, "theta_g": {}, "theta_h": {}}
+    grad_views: dict[str, dict[str, np.ndarray]] = {}
+    updates = []
     for weight, loss_name in ((schedule.lambda1, "cls"), (lambda2, "cpa"), (lambda3, "cgi")):
         if weight == 0.0:
             continue
         for (group, pname), g in comp.grads[loss_name].items():
-            gdict = group_grads[group]
-            gdict[pname] = gdict.get(pname, 0.0) + weight * g
-    for group, gdict in group_grads.items():
-        if gdict:
-            lr = eta * (schedule.head_lr_multiplier if group == "theta_h" else 1.0)
-            sgd_step(params.group(group), gdict, opt_states[group], lr)
+            views = grad_views.get(group)
+            if views is None:
+                param_group = params.group(group)
+                flat = np.zeros_like(param_group.flat)
+                views = grad_views[group] = param_group.views(flat)
+                lr = eta * (schedule.head_lr_multiplier if group == "theta_h" else 1.0)
+                updates.append((param_group, flat, opt_states[group], lr))
+            view = views[pname]
+            view += weight * g
+    sgd_step(updates)
 
     record = dict(comp.losses)
     record.update(eta=eta, lambda2=lambda2, lambda3=lambda3)

@@ -155,10 +155,36 @@ def test_pretrain_memo_survives_mutated_results(trainings):
     hit.theta_h.clear()
     hit.theta["extra"] = np.zeros((1, 1))
     stepped = pretrain(task, **PRETRAIN_ARGS)
-    sgd_step(stepped.theta, {k: np.ones_like(v) for k, v in stepped.theta.items()},
-             SgdState(momentum=0.9, weight_decay=5e-4), 0.1)
+    sgd_step([(stepped.theta, np.ones_like(stepped.theta.flat),
+               SgdState(momentum=0.9, weight_decay=5e-4), 0.1)])
     assert_same_bits(pretrain(task, **PRETRAIN_ARGS), reference)
     assert len(trainings) == 1
+
+
+def assert_named_tensors_view_the_flat_buffers(params):
+    for group in ("theta", "theta_g", "theta_h"):
+        tensors = params.group(group)
+        before = {name: value.copy() for name, value in tensors.items()}
+        assert sum(value.size for value in before.values()) == tensors.flat.size
+        for value in tensors.values():
+            assert np.shares_memory(value, tensors.flat)
+        sgd_step([(tensors, np.ones_like(tensors.flat),
+                   SgdState(momentum=0.0, weight_decay=0.0), 0.5)])
+        for name, value in tensors.items():
+            assert np.array_equal(value, before[name] - 0.5)
+
+
+def test_named_tensors_view_the_flat_buffers(trainings, tmp_path):
+    assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11))
+    assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11).copy())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(3, 5, 2, seed=11), path)
+    assert_named_tensors_view_the_flat_buffers(load_checkpoint(path))
+    task = make_pretrain_task(pretrain_spec())
+    pretrain(task, **PRETRAIN_ARGS)
+    hit = pretrain(task, **PRETRAIN_ARGS)
+    assert len(trainings) == 1
+    assert_named_tensors_view_the_flat_buffers(hit)
 
 
 def _train_variants(train):

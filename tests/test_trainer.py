@@ -10,7 +10,7 @@ from probadapt import trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import GeneratorSpec, Shift, UdaPair, UnlabeledDataset, make_uda_pair
-from probadapt.errors import ConfigError, ContractViolationError
+from probadapt.errors import ConfigError, ContractViolationError, TrainingDivergedError
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
@@ -102,6 +102,48 @@ def test_step_backward_returns_parameter_gradients_only(monkeypatch):
     step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
     assert [len(grads) for grads in returned] == [8, 8, 2]
     assert all(leaf.op == "leaf" for grads in returned for leaf in grads)
+
+
+def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
+    # Input batches, detached features, targets and masks are constants; the
+    # primitives that read them must not compute their share of a VJP.
+    wasted, constant_reads = [], []
+
+    class CheckingTape(Tape):
+        def _register(self, node):
+            vjp = node.vjp
+            if vjp is not None and any(p.op == "constant" for p in node.inputs):
+                def checked(g, node=node, vjp=vjp):
+                    out = vjp(g)
+                    constant_reads.append(node.op)
+                    wasted.extend((node.op, parent.op) for parent, pg in zip(node.inputs, out)
+                                  if parent.op == "constant" and pg is not None)
+                    return out
+                node.vjp = checked
+            return super()._register(node)
+
+    monkeypatch.setattr(trainer, "Tape", CheckingTape)
+    params, x_s, y_s, x_t, m = tiny_setup(n=16)
+    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    assert {"matmul", "elementwise_mul", "add_bias"} <= set(constant_reads)
+    assert wasted == []
+
+
+def test_train_step_with_a_nonfinite_head_gradient_steps_no_group(monkeypatch):
+    params, x_s, y_s, x_t, m = tiny_setup()
+    cfg, sched = TrainConfig(), ScheduleConfig()
+    states = fresh_states(cfg)
+    train_step(params, states, x_s, y_s, x_t, m, sched, cfg, 5, 10)
+    groups = ("theta", "theta_g", "theta_h")
+    before = {g: (params.group(g).flat.copy(), states[g].velocity.copy()) for g in groups}
+    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, cfg)
+    comp.grads["cgi"][("theta_h", "b")][0, 0] = np.inf
+    monkeypatch.setattr(trainer, "step_losses_and_grads", lambda *args: comp)
+    with pytest.raises(TrainingDivergedError, match="parameter b"):
+        train_step(params, states, x_s, y_s, x_t, m, sched, cfg, 6, 10)
+    for g in groups:
+        assert params.group(g).flat.tobytes() == before[g][0].tobytes()
+        assert states[g].velocity.tobytes() == before[g][1].tobytes()
 
 
 def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
@@ -210,10 +252,10 @@ def test_step_supervised_matches_manual_composition():
     grads = ad.backward(loss)
     eta = lr_schedule(sched.eta0, sched.tau, sched.upsilon, 0)
     for group, leaves, mult in (("theta", theta_leaves, 1.0), ("theta_h", h_leaves, 10.0)):
-        gd = {name: ad.grad_or_zero(grads, leaf) for name, leaf in leaves.items()}
-        sgd_step(params_b.group(group), gd,
-                 SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
-                 eta * mult)
+        gd = np.concatenate([ad.grad_or_zero(grads, leaf).ravel() for leaf in leaves.values()])
+        sgd_step([(params_b.group(group), gd,
+                   SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay),
+                   eta * mult)])
     for group in ("theta", "theta_g", "theta_h"):
         for k in params_a.group(group):
             assert np.array_equal(params_a.group(group)[k], params_b.group(group)[k])
@@ -251,9 +293,12 @@ def test_step_full_combination_matches_manual_recomposition(backbone):
             for (grp, pname), g in comp.grads[loss_name].items():
                 if grp == group:
                     gdict[pname] = gdict.get(pname, 0.0) + weight * g
+        tensors = params_b.group(group)
+        flat = np.concatenate([np.broadcast_to(gdict.get(name, 0.0), value.shape).ravel()
+                               for name, value in tensors.items()])
         lr = eta * (sched.head_lr_multiplier if group == "theta_h" else 1.0)
-        sgd_step(params_b.group(group), gdict,
-                 SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay), lr)
+        sgd_step([(tensors, flat,
+                   SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay), lr)])
     for group in ("theta", "theta_g", "theta_h"):
         for k in params_a.group(group):
             assert np.array_equal(params_a.group(group)[k], params_b.group(group)[k])
