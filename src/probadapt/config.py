@@ -44,7 +44,6 @@ class ExperimentConfig:
     lambda2_a: float = 1.0
     lambda3_a: float = 0.25
     delta: float = 10.0
-    lambda_form: str = "logistic"
     # training
     epochs: int = 20
     batch_size: int = 16
@@ -75,7 +74,7 @@ class ExperimentConfig:
             head_lr_multiplier=self.head_lr_multiplier, lambda1=self.lambda1,
             lambda2_a=self.lambda2_a if lambda2_a is None else lambda2_a,
             lambda3_a=self.lambda3_a if lambda3_a is None else lambda3_a,
-            delta=self.delta, lambda_form=self.lambda_form)
+            delta=self.delta)
 
     def train_config(self, with_pda: bool = False,
                      pda_threshold: int | None = None) -> TrainConfig:
@@ -145,7 +144,6 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
     "schedule.lambda2_a": ("lambda2_a", float, lambda v: v >= 0),
     "schedule.lambda3_a": ("lambda3_a", float, lambda v: v >= 0),
     "schedule.delta": ("delta", float, lambda v: v > 0),
-    "schedule.lambda_form": ("lambda_form", str, lambda v: v == "logistic"),
     "train.epochs": ("epochs", int, lambda v: v >= 1),
     "train.batch_size": ("batch_size", int, lambda v: v >= 1),
     "train.cgi_updates_backbone": ("cgi_updates_backbone", _parse_bool, None),

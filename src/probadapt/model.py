@@ -89,6 +89,27 @@ def leaves_for(tape: Tape, group: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: tape.leaf(value) for name, value in group.items()}
 
 
+def group_gradients(grads: dict[Tensor, np.ndarray],
+                    leaves: dict[str, dict[str, Tensor]]) -> dict[str, np.ndarray]:
+    """A :func:`autodiff.backward` result as one flat gradient per group it reached,
+    in the group's layout with zeros for the tensors it did not reach."""
+    return {group: np.concatenate([ad.grad_or_zero(grads, leaf).ravel() for leaf in named.values()])
+            for group, named in leaves.items() if any(leaf in grads for leaf in named.values())}
+
+
+def descend(params: ParamGroups, states: dict[str, SgdState], rates: dict[str, float],
+            terms: tuple[tuple[float, dict[str, np.ndarray]], ...]) -> None:
+    """The one update path: step each group a ``(weight, group_gradients)`` term
+    of nonzero weight reached by the sum of ``weight * g`` at ``rates[group]``, in
+    one :func:`sgd_step`. Other groups are not stepped, so no decay moves them."""
+    total: dict[str, np.ndarray] = {}
+    for weight, grads in terms:
+        if weight != 0.0:
+            for group, g in grads.items():
+                total[group] = total[group] + weight * g if group in total else weight * g
+    sgd_step([(params.group(group), g, states[group], rates[group]) for group, g in total.items()])
+
+
 def feature_extract(theta: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Plain-value feature extraction (throwaway tape)."""
     x = np.asarray(x, dtype=np.float64)
@@ -129,9 +150,9 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
              ) -> ParamGroups:
     """Train the extractor and pretrained head on the cluster task.
 
-    The task head is freshly initialised and never updated here. Returns the
-    trained parameter groups; raises TrainingDivergedError (with the epoch
-    index) if the loss goes non-finite.
+    Each batch is one backward pass and one :func:`descend` call, as in
+    adaptation; the task head is never updated. Returns the trained groups;
+    raises TrainingDivergedError (with the epoch index) on a non-finite loss.
 
     Training is a pure function of its inputs, so the last result is kept
     for the life of the process and a repeated call returns a copy of it
@@ -153,26 +174,20 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
     params = init_params(x.shape[1], c2, task_classes, seed)
     states = {group: SgdState(momentum=momentum, weight_decay=weight_decay)
               for group in ("theta", "theta_g")}
+    rates = {group: lr for group in states}
     for epoch in range(epochs):
         perm = rng_for(seed, f"pretrain/shuffle/{epoch}").permutation(len(x))
         for start in range(0, len(x), batch_size):
             idx = perm[start:start + batch_size]
             tape = Tape()
-            theta_leaves = leaves_for(tape, params.theta)
-            g_leaves = leaves_for(tape, params.theta_g)
-            probs = head_graph(g_leaves, feature_graph(theta_leaves, tape.constant(x[idx])))
-            loss = losses.classification_loss(probs, y[idx])
+            leaves = {group: leaves_for(tape, params.group(group)) for group in states}
+            features = feature_graph(leaves["theta"], tape.constant(x[idx]))
+            loss = losses.classification_loss(head_graph(leaves["theta_g"], features), y[idx])
             if not np.isfinite(loss.item()):
                 raise TrainingDivergedError(f"pretraining loss non-finite at epoch {epoch}")
-            grads = ad.backward(loss)
+            grads = group_gradients(ad.backward(loss), leaves)
             tape.nodes.clear()
-            # Each leaf dict follows its group's order, so the gradients
-            # concatenate into the group's flat layout.
-            sgd_step([(params.group(group),
-                       np.concatenate([ad.grad_or_zero(grads, leaf).ravel()
-                                       for leaf in leaves.values()]),
-                       states[group], lr)
-                      for group, leaves in (("theta", theta_leaves), ("theta_g", g_leaves))])
+            descend(params, states, rates, ((1.0, grads),))
     _pretrain_memo = (key, params.copy())
     return params
 
@@ -275,26 +290,33 @@ def load_checkpoint(path) -> ParamGroups:
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ContractViolationError(f"not a parameter checkpoint: {path}")
     groups: dict[str, dict[str, np.ndarray]] = {"theta": {}, "theta_g": {}, "theta_h": {}}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
+    i = 1  # index of the line being read
+    try:
+        while i < len(lines):
+            if not lines[i].strip():
+                i += 1
+                continue
+            parts = lines[i].split()
+            if parts[0] != "tensor" or len(parts) != 5:
+                raise ContractViolationError(f"bad tensor header at line {i + 1}")
+            _, group, name, rows, cols = parts
+            if group not in groups:
+                raise ContractViolationError(f"unknown group {group!r} at line {i + 1}")
+            arr = np.empty((int(rows), int(cols)))
+            for row in arr:
+                i += 1
+                vals = lines[i].split()
+                if len(vals) != len(row):
+                    raise ContractViolationError(f"bad row width at line {i + 1}")
+                row[:] = [float(v) for v in vals]
+            groups[group][name] = arr
             i += 1
-            continue
-        parts = lines[i].split()
-        if parts[0] != "tensor" or len(parts) != 5:
-            raise ContractViolationError(f"bad tensor header at line {i + 1}")
-        _, group, name, rows, cols = parts
-        if group not in groups:
-            raise ContractViolationError(f"unknown group {group!r} at line {i + 1}")
-        rows, cols = int(rows), int(cols)
-        arr = np.empty((rows, cols))
-        for r in range(rows):
-            vals = lines[i + 1 + r].split()
-            if len(vals) != cols:
-                raise ContractViolationError(f"bad row width at line {i + 2 + r}")
-            arr[r] = [float(v) for v in vals]
-        groups[group][name] = arr
-        i += 1 + rows
+    except ContractViolationError:
+        raise
+    except IndexError:
+        raise ContractViolationError(f"checkpoint ends before line {i + 1}") from None
+    except ValueError as exc:
+        raise ContractViolationError(f"bad number at line {i + 1}: {exc}") from None
     _check_checkpoint_shapes(groups)
     return ParamGroups(*(ParamGroup(groups[g]) for g in ("theta", "theta_g", "theta_h")))
 

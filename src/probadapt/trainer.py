@@ -2,7 +2,8 @@
 partial-set extension.
 
 Each step computes three losses on one tape and backpropagates them
-separately. The graph alone decides which parameter groups each loss reaches:
+separately, each into one flat gradient per group it reached. The graph alone
+decides which parameter groups each loss reaches:
 
 * extractor        <- classification + alignment (and the target penalty
                       only when ``cgi_updates_backbone`` is set)
@@ -13,9 +14,9 @@ The task head reads detached target features unless ``cgi_updates_backbone``
 is set, and the alignment coefficients and the penalty's transformed
 probabilities, calibration factors and pseudo-label weights are computed from
 detached values, so the penalty cannot touch the pretrained head and
-alignment cannot touch the task head. A group that every reaching loss weighs
-at exactly zero receives nothing and is not stepped at all (weight decay must
-not mutate groups with no objective).
+alignment cannot touch the task head. :func:`model.descend`, pretraining's
+update path too, sums the weighted gradients per group and steps the reached
+groups; a group every reaching loss weighs at exactly zero is not stepped.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from . import losses
 from .autodiff import Tape
 from .data import UdaPair, UnlabeledDataset, accuracy
 from .errors import ContractViolationError, TrainingDivergedError
-from .model import (ParamGroups, feature_graph, fig1_analog, head_graph,
-                    learn_prototype, leaves_for, predict_proba, split_source)
-from .optim import SgdState, sgd_step
+from .model import (ParamGroups, descend, feature_graph, fig1_analog, group_gradients,
+                    head_graph, learn_prototype, leaves_for, predict_proba, split_source)
+from .optim import SgdState
 from .seeding import rng_for
 
 
@@ -48,13 +49,10 @@ class ScheduleConfig:
     lambda2_a: float = 1.0
     lambda3_a: float = 0.25
     delta: float = 10.0
-    lambda_form: str = "logistic"
 
     def __post_init__(self):
         if self.eta0 <= 0 or self.upsilon <= 0 or self.delta <= 0:
             raise ContractViolationError("eta0, upsilon and delta must be positive")
-        if self.lambda_form != "logistic":
-            raise ContractViolationError(f"unknown lambda_form {self.lambda_form!r}")
 
 
 @dataclass
@@ -124,7 +122,7 @@ def lambda_schedule(a: float, delta: float, rho: float) -> float:
     """Loss-weight ramp over normalised progress rho in [0, 1].
 
     The logistic ramp a * (2 / (1 + exp(-delta * rho)) - 1) starts at 0 and
-    saturates at a; it is the only form ``ScheduleConfig.lambda_form`` accepts.
+    saturates at a.
     """
     if not (0.0 <= rho <= 1.0):
         raise ContractViolationError("rho must lie in [0, 1]")
@@ -152,10 +150,10 @@ def pda_class_mask(counts: np.ndarray, threshold: int) -> np.ndarray:
 
 @dataclass
 class StepComputation:
-    """Losses and, per loss, its gradients keyed by (group, parameter name)."""
+    """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`."""
 
     losses: dict[str, float]
-    grads: dict[str, dict[tuple[str, str], np.ndarray]]
+    grads: dict[str, dict[str, np.ndarray]]
 
 
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
@@ -168,13 +166,8 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
     weights, calibration factors, the penalty itself).
     """
     tape = Tape()
-    theta_leaves = leaves_for(tape, params.theta)
-    g_leaves = leaves_for(tape, params.theta_g)
-    h_leaves = leaves_for(tape, params.theta_h)
-    leaf_owner = {}
-    for group, leaves in (("theta", theta_leaves), ("theta_g", g_leaves), ("theta_h", h_leaves)):
-        for name, leaf in leaves.items():
-            leaf_owner[leaf] = (group, name)
+    leaves = {g: leaves_for(tape, params.group(g)) for g in ("theta", "theta_g", "theta_h")}
+    theta_leaves, g_leaves, h_leaves = leaves.values()
 
     f_s = feature_graph(theta_leaves, tape.constant(x_s))
     f_t = feature_graph(theta_leaves, tape.constant(x_t))
@@ -205,9 +198,8 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         if not np.isfinite(val):
             raise TrainingDivergedError(f"loss {name} became non-finite")
 
-    grads: dict[str, dict[tuple[str, str], np.ndarray]] = {}
-    for name, node in (("cls", l_cls), ("cpa", l_cpa), ("cgi", l_cgi)):
-        grads[name] = {leaf_owner[leaf]: g for leaf, g in ad.backward(node).items()}
+    grads = {name: group_gradients(ad.backward(node), leaves)
+             for name, node in (("cls", l_cls), ("cpa", l_cpa), ("cgi", l_cgi))}
     tape.nodes.clear()
     return StepComputation(losses=values, grads=grads)
 
@@ -219,34 +211,18 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
                class_mask: np.ndarray | None = None) -> dict[str, float]:
     """One coupled update of all three groups; returns the loss record.
 
-    Each loss with a nonzero weight adds its weighted gradients into a zeroed
-    flat gradient of each group its graph reached (see the module docstring);
-    a group that received nothing is left untouched. The reached groups are
-    stepped together, so a non-finite gradient in any of them leaves all
-    three unchanged.
+    One :func:`model.descend` call weighs the losses' group gradients by
+    lambda1..3 and steps the task head at ``head_lr_multiplier`` times the
+    rate; a non-finite gradient in any group leaves all three unchanged.
     """
     eta = lr_schedule(schedule.eta0, schedule.tau, schedule.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
     lambda2 = lambda_schedule(schedule.lambda2_a, schedule.delta, progress)
     lambda3 = lambda_schedule(schedule.lambda3_a, schedule.delta, progress)
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
-
-    grad_views: dict[str, dict[str, np.ndarray]] = {}
-    updates = []
-    for weight, loss_name in ((schedule.lambda1, "cls"), (lambda2, "cpa"), (lambda3, "cgi")):
-        if weight == 0.0:
-            continue
-        for (group, pname), g in comp.grads[loss_name].items():
-            views = grad_views.get(group)
-            if views is None:
-                param_group = params.group(group)
-                flat = np.zeros_like(param_group.flat)
-                views = grad_views[group] = param_group.views(flat)
-                lr = eta * (schedule.head_lr_multiplier if group == "theta_h" else 1.0)
-                updates.append((param_group, flat, opt_states[group], lr))
-            view = views[pname]
-            view += weight * g
-    sgd_step(updates)
+    rates = {"theta": eta, "theta_g": eta, "theta_h": eta * schedule.head_lr_multiplier}
+    descend(params, opt_states, rates, ((schedule.lambda1, comp.grads["cls"]),
+            (lambda2, comp.grads["cpa"]), (lambda3, comp.grads["cgi"])))
 
     record = dict(comp.losses)
     record.update(eta=eta, lambda2=lambda2, lambda3=lambda3)
@@ -281,6 +257,15 @@ def evaluate_target(params: ParamGroups, target: UnlabeledDataset,
     return accuracy(target_predictions(params, target, class_mask), eval_labels)
 
 
+def partial_set_mask(params: ParamGroups, target: UnlabeledDataset,
+                     pda: PdaConfig | None) -> np.ndarray | None:
+    """Partial-set class mask from the task head's target predictions (None without PDA)."""
+    if pda is None:
+        return None
+    counts = pda_category_counts(predict_proba(params, "task", target.inputs))
+    return pda_class_mask(counts, pda.threshold)
+
+
 def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
           config: TrainConfig, prototype_fn=learn_prototype) -> tuple[TrainReport, ParamGroups]:
     """Full adaptation run: split, prototype, epoch loop, per-epoch evaluation.
@@ -309,10 +294,7 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
     report = TrainReport()
     iteration = 0
     for epoch in range(config.epochs):
-        class_mask = None
-        if config.pda is not None:
-            counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
-            class_mask = pda_class_mask(counts, config.pda.threshold)
+        class_mask = partial_set_mask(params, pair.target, config.pda)
         need = per_epoch * config.batch_size
         src_stream = _batch_stream(n_s, need, config.seed, "train/shuffle/source", epoch)
         tgt_stream = _batch_stream(n_t, need, config.seed, "train/shuffle/target", epoch)
@@ -336,10 +318,7 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
             lambda2=last["lambda2"], lambda3=last["lambda3"], eta=last["eta"]))
 
     classes = pair.source.class_count
-    final_mask = None
-    if config.pda is not None:
-        counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
-        final_mask = pda_class_mask(counts, config.pda.threshold)
+    final_mask = partial_set_mask(params, pair.target, config.pda)
     final_pred = target_predictions(params, pair.target, final_mask)
     report.final_target_accuracy = accuracy(final_pred, pair.eval_labels)
     report.final_prediction_counts = tuple(

@@ -163,15 +163,14 @@ def test_c06_gradient_routing():
     m = rand_prototype(rng, 3, 7)
 
     comp = step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
-    assert all(grp != "theta_g" for grp, _ in comp.grads["cgi"])
-    assert all(grp != "theta" for grp, _ in comp.grads["cgi"])
-    assert all(grp != "theta_h" for grp, _ in comp.grads["cpa"])
+    assert "theta_g" not in comp.grads["cgi"]
+    assert "theta" not in comp.grads["cgi"]
+    assert "theta_h" not in comp.grads["cpa"]
 
     toggled = step_losses_and_grads(params, x_s, y_s, x_t, m,
                                     TrainConfig(cgi_updates_backbone=True))
-    theta_cgi = [g for (grp, _), g in toggled.grads["cgi"].items() if grp == "theta"]
-    assert theta_cgi and any(np.any(g != 0.0) for g in theta_cgi)
-    assert all(grp != "theta_g" for grp, _ in toggled.grads["cgi"])
+    assert np.any(toggled.grads["cgi"]["theta"] != 0.0)
+    assert "theta_g" not in toggled.grads["cgi"]
     print("\n[PASS] criterion 6: gradient routing per group, backbone toggle works")
 
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from probadapt import model
+from probadapt import autodiff as ad
+from probadapt import model, trainer
 from probadapt.autodiff import Tape
 from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
@@ -78,6 +79,48 @@ def test_param_groups_are_disjoint_objects():
 def pretrain_spec(c2=4, spc=40, noise=0.1, seed=5):
     return GeneratorSpec(input_dim=4, pretrain_classes=c2, task_classes=2,
                          samples_per_class=spc, shift=Shift(noise_scale=noise), seed=seed)
+
+
+def test_group_gradients_fill_unreached_tensors_and_skip_unreached_groups():
+    params = init_params(3, 4, 2, seed=1)
+    tape = Tape()
+    leaves = {g: model.leaves_for(tape, params.group(g)) for g in ("theta", "theta_g", "theta_h")}
+    # reads theta_g's weight only: its bias and the other two groups are unreached
+    loss = ad.mean(ad.matmul(tape.constant(np.ones((1, 32))), leaves["theta_g"]["w"]))
+    grads = model.group_gradients(ad.backward(loss), leaves)
+    assert set(grads) == {"theta_g"}
+    assert grads["theta_g"].shape == params.theta_g.flat.shape
+    views = params.theta_g.views(grads["theta_g"])
+    assert np.array_equal(views["w"], np.full((32, 4), 0.25))
+    assert np.array_equal(views["b"], np.zeros((1, 4)))
+
+
+def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, monkeypatch):
+    calls = []
+
+    def counting(params, states, rates, terms):
+        calls.append(sorted(rates))
+        return original(params, states, rates, terms)
+
+    original, train_step = model.descend, trainer.train_step
+    monkeypatch.setattr(model, "descend", counting)
+    monkeypatch.setattr(trainer, "descend", counting)
+    monkeypatch.setattr(trainer, "train_step", None)  # pretraining must not step through it
+    task = make_pretrain_task(pretrain_spec())
+    params = pretrain(task, **PRETRAIN_ARGS)
+    batches = PRETRAIN_ARGS["epochs"] * math.ceil(len(task.train.inputs) / 32)
+    assert calls == [["theta", "theta_g"]] * batches
+
+    calls.clear()
+    rng = rng_for(2, "test/one_descend")
+    x_s, x_t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    prototype = rng.dirichlet(np.ones(4), size=2)
+    cfg = trainer.TrainConfig()
+    states = {g: SgdState() for g in ("theta", "theta_g", "theta_h")}
+    for iteration in range(3):
+        train_step(params, states, x_s, np.array([0, 1] * 3), x_t, prototype,
+                   trainer.ScheduleConfig(), cfg, iteration, 10)
+        assert calls == [["theta", "theta_g", "theta_h"]] * (iteration + 1)
 
 
 def test_pretrain_separable_blobs_accuracy():
@@ -343,10 +386,21 @@ def test_checkpoint_round_trip_exact(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
+    # Line 2 of a saved init_params(3, 5, 2) is "tensor theta w1 3 64", lines 3-5
+    # are its rows. Each malformed file must name its cause and its line.
     path = tmp_path / "junk.ckpt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ContractViolationError):
-        load_checkpoint(path)
+    save_checkpoint(init_params(3, 5, 2, seed=11), path)
+    lines = path.read_text().splitlines()
+    cases = [
+        (["not a checkpoint"], "not a parameter checkpoint"),
+        (lines[:4], "ends before line 5"),
+        (lines[:1] + ["tensor theta w1 3 sixty-four"] + lines[2:], "line 2"),
+        (lines[:3] + ["0.5 oops" + lines[3][lines[3].index(" ", 4):]] + lines[4:], "line 4"),
+    ]
+    for text, match in cases:
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ContractViolationError, match=match):
+            load_checkpoint(path)
 
 
 def corrupt_checkpoint(tmp_path, edit):
