@@ -5,6 +5,8 @@ Reproduces the headline desk-scale comparison: baseline < single component
 < full method on the pinned default seed.
 """
 
+from dataclasses import replace
+
 from probadapt.config import ExperimentConfig
 from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import pretrain
@@ -25,12 +27,11 @@ variants = {
 }
 
 for name, (l2, l3) in variants.items():
-    report, _ = train(params, pair, cfg.schedule_config(lambda2_a=l2, lambda3_a=l3),
-                      cfg.train_config())
+    report, _ = train(params, pair, replace(cfg, lambda2_a=l2, lambda3_a=l3))
     print(f"{name:32s} final target accuracy: {report.final_target_accuracy:.3f}")
 
 print("\nper-epoch trace of the full method:")
-report, _ = train(params, pair, cfg.schedule_config(), cfg.train_config())
+report, _ = train(params, pair, cfg)
 print("epoch  acc    l_cls    l_cpa    l_cgi    lambda2  eta")
 for r in report.epochs:
     print(f"{r.epoch:5d}  {r.target_acc:.3f}  {r.l_cls:7.4f}  {r.l_cpa:7.4f}  "

@@ -30,9 +30,8 @@ counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
 print("pre-adaptation category counts:", counts)
 print("class mask at threshold 10:", pda_class_mask(counts, 10))
 
-plain, _ = train(params, pair, cfg.schedule_config(), cfg.train_config())
-masked, _ = train(params, pair, cfg.schedule_config(),
-                  cfg.train_config(with_pda=True, pda_threshold=10))
+plain, _ = train(params, pair, cfg)
+masked, _ = train(params, pair, replace(cfg, mode="pda", pda_threshold=10))
 print(f"plain adaptation on the subset pair: {plain.final_target_accuracy:.3f}")
 print(f"with class masking (threshold 10):   {masked.final_target_accuracy:.3f}")
 

@@ -23,8 +23,7 @@ from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
                     pretrain, save_checkpoint, split_source)
 from .optim import ParamGroup, SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid
-from .trainer import (PdaConfig, ScheduleConfig, TrainConfig, TrainReport,
-                      lambda_schedule, lr_schedule, pda_category_counts,
+from .trainer import (TrainReport, lambda_schedule, lr_schedule, pda_category_counts,
                       train, train_step)
 
 __version__ = "0.1.0"

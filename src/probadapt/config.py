@@ -3,7 +3,10 @@
 The document format is one ``key = value`` pair per line, ``#`` comments, and
 a fixed schema: unknown keys are rejected by name. Serialisation is canonical
 (fixed key order, repr-formatted floats), so the config hash is stable under
-reordering of the input document.
+reordering of the input document. :class:`ExperimentConfig` is the one run
+configuration the trainer and runner read; it validates itself on
+construction, so a parsed document, a programmatic config and a
+``dataclasses.replace`` copy pass the same checks.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from .data import GeneratorSpec, Shift
 from .errors import ConfigError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
-from .trainer import PdaConfig, ScheduleConfig, TrainConfig
 
 MODES = ("uda", "pda", "baseline", "fig1", "ablation_beta", "ablation_penalty",
          "ablation_components")
@@ -59,6 +61,20 @@ class ExperimentConfig:
     pretrain_epochs: int = 30
     pretrain_lr: float = 0.05
 
+    def __post_init__(self):
+        for key, (attr, _, check) in SCHEMA.items():
+            value = getattr(self, attr)
+            if check is not None and not check(value):
+                raise ConfigError(f"key {key!r}: value {value!r} violates its constraint")
+        if self.task_classes > self.pretrain_classes:
+            raise ConfigError("key 'generator.task_classes': must not exceed pretrain_classes")
+        if self.target_class_count is not None and not (
+                1 <= self.target_class_count <= self.task_classes):
+            raise ConfigError("key 'generator.target_class_count': out of range")
+        if self.translation and len(self.translation) != self.input_dim:
+            raise ConfigError(
+                "key 'generator.translation': length must equal generator.input_dim")
+
     def generator_spec(self) -> GeneratorSpec:
         return GeneratorSpec(
             input_dim=self.input_dim, pretrain_classes=self.pretrain_classes,
@@ -66,26 +82,6 @@ class ExperimentConfig:
             shift=Shift(rotation=self.rotation, translation=self.translation,
                         noise_scale=self.noise_scale),
             seed=self.seed, target_class_count=self.target_class_count)
-
-    def schedule_config(self, lambda2_a: float | None = None,
-                        lambda3_a: float | None = None) -> ScheduleConfig:
-        return ScheduleConfig(
-            eta0=self.eta0, tau=self.tau, upsilon=self.upsilon,
-            head_lr_multiplier=self.head_lr_multiplier, lambda1=self.lambda1,
-            lambda2_a=self.lambda2_a if lambda2_a is None else lambda2_a,
-            lambda3_a=self.lambda3_a if lambda3_a is None else lambda3_a,
-            delta=self.delta)
-
-    def train_config(self, with_pda: bool = False,
-                     pda_threshold: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, seed=self.seed,
-            cgi_updates_backbone=self.cgi_updates_backbone,
-            beta_variant=self.beta_variant, penalty_variant=self.penalty_variant,
-            pda=PdaConfig(self.pda_threshold if pda_threshold is None else pda_threshold)
-            if with_pda else None,
-            momentum=self.momentum, weight_decay=self.weight_decay,
-            label_smoothing=self.label_smoothing, focal_gamma=self.focal_gamma)
 
 
 def _parse_bool(text: str) -> bool:
@@ -161,8 +157,9 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat key-value document; defaults fill the rest."""
-    cfg = ExperimentConfig()
+    """Parse a flat key-value document; defaults fill the rest, and the
+    resulting :class:`ExperimentConfig` validates itself."""
+    values = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,21 +173,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, parser, check = SCHEMA[key]
+        attr, parser, _ = SCHEMA[key]
         try:
-            parsed = parser(value)
+            values[attr] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from exc
-        if check is not None and not check(parsed):
-            raise ConfigError(f"key {key!r}: value {parsed!r} violates its constraint")
-        setattr(cfg, attr, parsed)
-    if cfg.task_classes > cfg.pretrain_classes:
-        raise ConfigError("key 'generator.task_classes': must not exceed pretrain_classes")
-    if cfg.target_class_count is not None and not (1 <= cfg.target_class_count <= cfg.task_classes):
-        raise ConfigError("key 'generator.target_class_count': out of range")
-    if cfg.translation and len(cfg.translation) != cfg.input_dim:
-        raise ConfigError("key 'generator.translation': length must equal generator.input_dim")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

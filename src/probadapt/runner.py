@@ -4,9 +4,9 @@ Every run writes two files into its output directory:
 
 * ``epochs.csv`` with the frozen header
   ``epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta``
-* ``summary.json`` with deterministic fields only (wall time stays in the
-  in-memory record so reruns are byte-identical); its ``status`` is
-  ``complete``, ``collapsed`` or ``incomplete``
+* ``summary.json`` with deterministic fields only, so reruns are
+  byte-identical; its ``status`` is ``complete``, ``collapsed`` or
+  ``incomplete``
 
 Files are written atomically (temp file then rename). The environment
 variable ``PROBADAPT_OUTPUT_ROOT`` reroots relative output paths.
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import ExperimentConfig, config_hash
@@ -54,7 +53,6 @@ class RunRecord:
     out_dir: Path
     report: TrainReport | None = None
     summary: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
 
 def resolve_out_dir(cfg: ExperimentConfig, *extra: str) -> Path:
@@ -165,7 +163,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
 
     out = resolve_out_dir(cfg) if out_dir is None else out_dir
     out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
     record = RunRecord(mode=cfg.mode, seed=cfg.seed, config_hash=config_hash(cfg),
                        status="complete", out_dir=out)
 
@@ -187,12 +184,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
             }
             report = TrainReport()
         else:
-            if cfg.mode == "baseline":
-                schedule = cfg.schedule_config(lambda2_a=0.0, lambda3_a=0.0)
-            else:
-                schedule = cfg.schedule_config()
-            report, _ = train(params, pair, schedule,
-                              cfg.train_config(with_pda=(cfg.mode == "pda")))
+            # The baseline trains with the classification loss alone.
+            train_cfg = (replace(cfg, lambda2_a=0.0, lambda3_a=0.0)
+                         if cfg.mode == "baseline" else cfg)
+            report, _ = train(params, pair, train_cfg)
             summary = _train_summary(cfg, report, pretrain_acc)
             if cfg.mode == "pda":
                 summary["pda_threshold"] = cfg.pda_threshold
@@ -212,14 +207,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
     write_epochs_csv(out / "epochs.csv", report)
     write_summary(out / "summary.json", summary)
     record.summary = summary
-    record.wall_time = time.perf_counter() - started
     return record
 
 
 def _grid_points(cfg: ExperimentConfig, axis: str):
     """(name, config) pairs for one ablation axis; all share the base seed."""
-    from dataclasses import replace
-
     if axis == "beta_variant":
         for variant in ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl"):
             yield variant, replace(cfg, mode="uda", beta_variant=variant)

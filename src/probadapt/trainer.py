@@ -17,6 +17,11 @@ detached values, so the penalty cannot touch the pretrained head and
 alignment cannot touch the task head. :func:`model.descend`, pretraining's
 update path too, sums the weighted gradients per group and steps the reached
 groups; a group every reaching loss weighs at exactly zero is not stepped.
+
+Every setting is read from the one :class:`config.ExperimentConfig`, already
+validated when it was built: the annealed rate and the lambda ramps, the
+step's loss variants, and partial-set masking, which is on exactly when
+``mode`` is ``pda``, at ``pda_threshold``.
 """
 
 from __future__ import annotations
@@ -29,62 +34,13 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tape
+from .config import ExperimentConfig
 from .data import UdaPair, UnlabeledDataset, accuracy
 from .errors import ContractViolationError, TrainingDivergedError
 from .model import (ParamGroups, descend, feature_graph, fig1_analog, group_gradients,
                     head_graph, learn_prototype, leaves_for, predict_proba, split_source)
 from .optim import SgdState
 from .seeding import rng_for
-
-
-@dataclass
-class ScheduleConfig:
-    """Learning-rate annealing and loss-weight ramp constants."""
-
-    eta0: float = 0.0075
-    tau: float = 3e-4
-    upsilon: float = 0.75
-    head_lr_multiplier: float = 10.0
-    lambda1: float = 1.0
-    lambda2_a: float = 1.0
-    lambda3_a: float = 0.25
-    delta: float = 10.0
-
-    def __post_init__(self):
-        if self.eta0 <= 0 or self.upsilon <= 0 or self.delta <= 0:
-            raise ContractViolationError("eta0, upsilon and delta must be positive")
-
-
-@dataclass
-class PdaConfig:
-    threshold: int = 14
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 16
-    seed: int = 0
-    cgi_updates_backbone: bool = False
-    beta_variant: str = "exp_neg_kl"
-    penalty_variant: str = "CGI"
-    pda: PdaConfig | None = None
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    label_smoothing: float = 0.1
-    focal_gamma: float | None = None
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractViolationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ContractViolationError("batch_size must be at least 1")
-        if self.beta_variant not in losses.BETA_VARIANTS:
-            raise ContractViolationError(f"unknown beta_variant {self.beta_variant!r}")
-        if self.penalty_variant not in losses.PENALTY_VARIANTS:
-            raise ContractViolationError(f"unknown penalty_variant {self.penalty_variant!r}")
-        if self.pda is not None and self.pda.threshold < 0:
-            raise ContractViolationError("pda threshold must be non-negative")
 
 
 @dataclass
@@ -157,7 +113,7 @@ class StepComputation:
 
 
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
-                          x_t: np.ndarray, prototype: np.ndarray, config: TrainConfig,
+                          x_t: np.ndarray, prototype: np.ndarray, config: ExperimentConfig,
                           class_mask: np.ndarray | None = None) -> StepComputation:
     """Forward all heads once and backpropagate each loss separately.
 
@@ -206,7 +162,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
 
 def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
                x_s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray,
-               prototype: np.ndarray, schedule: ScheduleConfig, config: TrainConfig,
+               prototype: np.ndarray, config: ExperimentConfig,
                iteration: int, total_iterations: int,
                class_mask: np.ndarray | None = None) -> dict[str, float]:
     """One coupled update of all three groups; returns the loss record.
@@ -215,13 +171,13 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
     lambda1..3 and steps the task head at ``head_lr_multiplier`` times the
     rate; a non-finite gradient in any group leaves all three unchanged.
     """
-    eta = lr_schedule(schedule.eta0, schedule.tau, schedule.upsilon, iteration)
+    eta = lr_schedule(config.eta0, config.tau, config.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
-    lambda2 = lambda_schedule(schedule.lambda2_a, schedule.delta, progress)
-    lambda3 = lambda_schedule(schedule.lambda3_a, schedule.delta, progress)
+    lambda2 = lambda_schedule(config.lambda2_a, config.delta, progress)
+    lambda3 = lambda_schedule(config.lambda3_a, config.delta, progress)
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
-    rates = {"theta": eta, "theta_g": eta, "theta_h": eta * schedule.head_lr_multiplier}
-    descend(params, opt_states, rates, ((schedule.lambda1, comp.grads["cls"]),
+    rates = {"theta": eta, "theta_g": eta, "theta_h": eta * config.head_lr_multiplier}
+    descend(params, opt_states, rates, ((config.lambda1, comp.grads["cls"]),
             (lambda2, comp.grads["cpa"]), (lambda3, comp.grads["cgi"])))
 
     record = dict(comp.losses)
@@ -242,41 +198,43 @@ def _batch_stream(n: int, need: int, seed: int, label: str, epoch: int) -> np.nd
     return np.concatenate(chunks)[:need]
 
 
-def target_predictions(params: ParamGroups, target: UnlabeledDataset,
-                       class_mask: np.ndarray | None = None) -> np.ndarray:
+def target_predictions(probs: np.ndarray, class_mask: np.ndarray | None = None) -> np.ndarray:
     """Task-head class of every target row, restricted to the masked classes."""
-    probs = predict_proba(params, "task", target.inputs)
     if class_mask is not None:
         probs = probs * class_mask.reshape(1, -1)
     return np.argmax(probs, axis=1)
 
 
-def evaluate_target(params: ParamGroups, target: UnlabeledDataset,
-                    eval_labels: np.ndarray, class_mask: np.ndarray | None = None) -> float:
-    """Target accuracy through the sealed evaluation channel only."""
-    return accuracy(target_predictions(params, target, class_mask), eval_labels)
+def evaluate_target(params: ParamGroups, target: UnlabeledDataset, eval_labels: np.ndarray,
+                    class_mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Target accuracy through the sealed evaluation channel only, and the
+    unmasked task-head probabilities it was read from."""
+    probs = predict_proba(params, "task", target.inputs)
+    return accuracy(target_predictions(probs, class_mask), eval_labels), probs
 
 
-def partial_set_mask(params: ParamGroups, target: UnlabeledDataset,
-                     pda: PdaConfig | None) -> np.ndarray | None:
-    """Partial-set class mask from the task head's target predictions (None without PDA)."""
-    if pda is None:
+def partial_set_mask(probs: np.ndarray | None,
+                     config: ExperimentConfig) -> np.ndarray | None:
+    """Partial-set class mask from the task head's target probabilities
+    (None outside ``pda`` mode)."""
+    if config.mode != "pda":
         return None
-    counts = pda_category_counts(predict_proba(params, "task", target.inputs))
-    return pda_class_mask(counts, pda.threshold)
+    return pda_class_mask(pda_category_counts(probs), config.pda_threshold)
 
 
-def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
-          config: TrainConfig, prototype_fn=learn_prototype) -> tuple[TrainReport, ParamGroups]:
+def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
+          prototype_fn=learn_prototype) -> tuple[TrainReport, ParamGroups]:
     """Full adaptation run: split, prototype, epoch loop, per-epoch evaluation.
 
     The source is split 1:1; the prototype half never joins training. Batches
     iterate over the longer domain while the shorter one reshuffles and
-    cycles. In partial-set mode the class mask is recomputed once per epoch
-    from the full target set. The report keeps the class histogram of the
-    final predictions, from the same evaluation that gives the final accuracy.
-    ``prototype_fn(p_g_val, labels, classes)`` is a swappable estimator of the
-    class centers; the default is the clamped class-conditional mean.
+    cycles. In ``pda`` mode the class mask is recomputed once per epoch from
+    the task head's probabilities on the full target set, which the previous
+    epoch's evaluation already holds. The report keeps the class histogram of
+    the final predictions, from the same evaluation that gives the final
+    accuracy. ``prototype_fn(p_g_val, labels, classes)`` is a swappable
+    estimator of the class centers; the default is the clamped
+    class-conditional mean.
     """
     if len(pair.source) == 0 or len(pair.target) == 0:
         raise ContractViolationError("both domains must be non-empty")
@@ -293,8 +251,9 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
 
     report = TrainReport()
     iteration = 0
+    probs = predict_proba(params, "task", pair.target.inputs) if config.mode == "pda" else None
     for epoch in range(config.epochs):
-        class_mask = partial_set_mask(params, pair.target, config.pda)
+        class_mask = partial_set_mask(probs, config)
         need = per_epoch * config.batch_size
         src_stream = _batch_stream(n_s, need, config.seed, "train/shuffle/source", epoch)
         tgt_stream = _batch_stream(n_t, need, config.seed, "train/shuffle/target", epoch)
@@ -305,12 +264,12 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
             si, ti = src_stream[lo:hi], tgt_stream[lo:hi]
             last = train_step(params, opt_states, train_half.inputs[si],
                               train_half.labels[si], pair.target.inputs[ti],
-                              prototype, schedule, config, iteration,
+                              prototype, config, iteration,
                               total_iterations, class_mask)
             for k in sums:
                 sums[k] += last[k]
             iteration += 1
-        acc = evaluate_target(params, pair.target, pair.eval_labels, class_mask)
+        acc, probs = evaluate_target(params, pair.target, pair.eval_labels, class_mask)
         report.epochs.append(EpochRecord(
             epoch=epoch, target_acc=acc,
             l_cls=sums["cls"] / per_epoch, l_cpa=sums["cpa"] / per_epoch,
@@ -318,8 +277,8 @@ def train(pretrained: ParamGroups, pair: UdaPair, schedule: ScheduleConfig,
             lambda2=last["lambda2"], lambda3=last["lambda3"], eta=last["eta"]))
 
     classes = pair.source.class_count
-    final_mask = partial_set_mask(params, pair.target, config.pda)
-    final_pred = target_predictions(params, pair.target, final_mask)
+    final_mask = partial_set_mask(probs, config)
+    final_pred = target_predictions(predict_proba(params, "task", pair.target.inputs), final_mask)
     report.final_target_accuracy = accuracy(final_pred, pair.eval_labels)
     report.final_prediction_counts = tuple(
         int(n) for n in np.bincount(final_pred, minlength=classes))

@@ -7,6 +7,7 @@ default generator configuration; they are seed-specific by design.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import init_params, pretrain
 from probadapt.runner import run_experiment, summary_metrics
 from probadapt.seeding import rng_for
-from probadapt.trainer import TrainConfig, lambda_schedule, lr_schedule, step_losses_and_grads, train
+from probadapt.trainer import lambda_schedule, lr_schedule, step_losses_and_grads, train
 
 
 def rand_probs(rng, n, c):
@@ -162,13 +163,13 @@ def test_c06_gradient_routing():
     x_t = rng.normal(size=(6, 5))
     m = rand_prototype(rng, 3, 7)
 
-    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     assert "theta_g" not in comp.grads["cgi"]
     assert "theta" not in comp.grads["cgi"]
     assert "theta_h" not in comp.grads["cpa"]
 
     toggled = step_losses_and_grads(params, x_s, y_s, x_t, m,
-                                    TrainConfig(cgi_updates_backbone=True))
+                                    ExperimentConfig(cgi_updates_backbone=True))
     assert np.any(toggled.grads["cgi"]["theta"] != 0.0)
     assert "theta_g" not in toggled.grads["cgi"]
     print("\n[PASS] criterion 6: gradient routing per group, backbone toggle works")
@@ -181,8 +182,7 @@ def test_c07_end_to_end_adaptation_gain():
     for name, (l2, l3) in {"baseline": (0.0, 0.0), "cpa_only": (DEFAULT.lambda2_a, 0.0),
                            "cgi_only": (0.0, DEFAULT.lambda3_a),
                            "full": (DEFAULT.lambda2_a, DEFAULT.lambda3_a)}.items():
-        rep, _ = train(params, pair, DEFAULT.schedule_config(lambda2_a=l2, lambda3_a=l3),
-                       DEFAULT.train_config())
+        rep, _ = train(params, pair, replace(DEFAULT, lambda2_a=l2, lambda3_a=l3))
         finals[name] = rep.final_target_accuracy
     elapsed = time.perf_counter() - started
 
@@ -215,7 +215,6 @@ def test_c08_pda_consistency(tmp_path):
     assert summary_metrics(uda.summary) == summary_metrics(pda.summary)
 
     # partial-set pair (first half of the classes) with a calibrated threshold
-    from dataclasses import replace
     sub = replace(DEFAULT, target_class_count=math.ceil(DEFAULT.task_classes / 2),
                   noise_scale=0.45)
     spec = sub.generator_spec()
@@ -223,9 +222,8 @@ def test_c08_pda_consistency(tmp_path):
     params = pretrain(task, sub.task_classes, sub.pretrain_epochs, sub.pretrain_lr,
                       sub.seed, batch_size=sub.batch_size)
     pair = make_uda_pair(spec)
-    rep_uda, _ = train(params, pair, sub.schedule_config(), sub.train_config())
-    rep_pda, _ = train(params, pair, sub.schedule_config(),
-                       sub.train_config(with_pda=True, pda_threshold=10))
+    rep_uda, _ = train(params, pair, sub)
+    rep_pda, _ = train(params, pair, replace(sub, mode="pda", pda_threshold=10))
     assert rep_pda.final_target_accuracy >= rep_uda.final_target_accuracy
     print(f"\n[PASS] criterion 8: T=0 byte-identical; partial-set "
           f"pda={rep_pda.final_target_accuracy:.3f} >= uda={rep_uda.final_target_accuracy:.3f}")

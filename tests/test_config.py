@@ -1,8 +1,11 @@
 import math
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from probadapt.config import (ExperimentConfig, config_hash, parse_config,
+from probadapt.config import (SCHEMA, ExperimentConfig, config_hash, parse_config,
                               serialize_config)
 from probadapt.errors import ConfigError
 
@@ -88,8 +91,29 @@ def test_defaults_build_valid_components():
     cfg = ExperimentConfig()
     spec = cfg.generator_spec()
     assert spec.task_classes <= spec.pretrain_classes
-    sched = cfg.schedule_config()
-    assert sched.eta0 == cfg.eta0
-    tc = cfg.train_config(with_pda=True)
-    assert tc.pda is not None and tc.pda.threshold == cfg.pda_threshold
-    assert cfg.train_config().pda is None
+
+
+def test_construction_validates_every_key():
+    # A programmatic config and a replace() copy pass the checks a parsed
+    # document passes, and the error names the document key.
+    with pytest.raises(ConfigError, match="train.epochs"):
+        ExperimentConfig(epochs=0)
+    with pytest.raises(ConfigError, match="schedule.tau"):
+        replace(ExperimentConfig(), tau=-1.0)
+    with pytest.raises(ConfigError, match="train.momentum"):
+        replace(ExperimentConfig(), momentum=1.5)
+    with pytest.raises(ConfigError, match="generator.task_classes"):
+        ExperimentConfig(task_classes=20)
+
+
+EXAMPLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"
+
+
+def test_example_config_lists_every_key_with_its_default():
+    text = EXAMPLE_CFG.read_text(encoding="utf-8")
+    keys = Counter(line.split("#", 1)[0].split("=", 1)[0].strip()
+                   for line in text.splitlines() if "=" in line.split("#", 1)[0])
+    assert keys == Counter(list(SCHEMA))
+    cfg = parse_config(text)
+    assert cfg == replace(ExperimentConfig(), outputs="runs/example")
+    assert config_hash(cfg) == "f9acba1bbdc8a3f9"

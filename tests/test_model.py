@@ -9,6 +9,7 @@ import pytest
 from probadapt import autodiff as ad
 from probadapt import model, trainer
 from probadapt.autodiff import Tape
+from probadapt.config import ExperimentConfig
 from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from probadapt.model import (feature_extract, head_forward, init_params,
@@ -115,11 +116,11 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
     rng = rng_for(2, "test/one_descend")
     x_s, x_t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
     prototype = rng.dirichlet(np.ones(4), size=2)
-    cfg = trainer.TrainConfig()
+    cfg = ExperimentConfig()
     states = {g: SgdState() for g in ("theta", "theta_g", "theta_h")}
     for iteration in range(3):
         train_step(params, states, x_s, np.array([0, 1] * 3), x_t, prototype,
-                   trainer.ScheduleConfig(), cfg, iteration, 10)
+                   cfg, iteration, 10)
         assert calls == [["theta", "theta_g", "theta_h"]] * (iteration + 1)
 
 

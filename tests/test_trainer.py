@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,8 @@ from probadapt.errors import ConfigError, ContractViolationError, TrainingDiverg
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
-from probadapt.trainer import (PdaConfig, ScheduleConfig, TrainConfig,
-                               lambda_schedule, lr_schedule, pda_category_counts,
-                               pda_class_mask, step_losses_and_grads, train,
-                               train_step)
+from probadapt.trainer import (lambda_schedule, lr_schedule, pda_category_counts,
+                               pda_class_mask, step_losses_and_grads, train, train_step)
 
 
 def tiny_setup(seed=0, n=6, c1=3, c2=5, dim=4):
@@ -70,7 +69,7 @@ def test_lambda_form_exp_rejected():
 
 def test_gradient_routing_default():
     params, x_s, y_s, x_t, m = tiny_setup()
-    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     cgi_groups = set(comp.grads["cgi"])
     assert "theta_g" not in cgi_groups
     assert "theta" not in cgi_groups
@@ -97,7 +96,7 @@ def test_step_backward_returns_parameter_gradients_only(monkeypatch):
 
     monkeypatch.setattr(ad, "backward", recording)
     params, x_s, y_s, x_t, m = tiny_setup()
-    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     assert [len(grads) for grads in returned] == [8, 8, 2]
     assert all(leaf.op == "leaf" for grads in returned for leaf in grads)
 
@@ -122,23 +121,23 @@ def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
 
     monkeypatch.setattr(trainer, "Tape", CheckingTape)
     params, x_s, y_s, x_t, m = tiny_setup(n=16)
-    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     assert {"matmul", "elementwise_mul", "add_bias"} <= set(constant_reads)
     assert wasted == []
 
 
 def test_train_step_with_a_nonfinite_head_gradient_steps_no_group(monkeypatch):
     params, x_s, y_s, x_t, m = tiny_setup()
-    cfg, sched = TrainConfig(), ScheduleConfig()
+    cfg = ExperimentConfig()
     states = fresh_states(cfg)
-    train_step(params, states, x_s, y_s, x_t, m, sched, cfg, 5, 10)
+    train_step(params, states, x_s, y_s, x_t, m, cfg, 5, 10)
     groups = ("theta", "theta_g", "theta_h")
     before = {g: (params.group(g).flat.copy(), states[g].velocity.copy()) for g in groups}
     comp = step_losses_and_grads(params, x_s, y_s, x_t, m, cfg)
     comp.grads["cgi"]["theta_h"][-1] = np.inf  # the last slot of the layout is in b
     monkeypatch.setattr(trainer, "step_losses_and_grads", lambda *args: comp)
     with pytest.raises(TrainingDivergedError, match="parameter b"):
-        train_step(params, states, x_s, y_s, x_t, m, sched, cfg, 6, 10)
+        train_step(params, states, x_s, y_s, x_t, m, cfg, 6, 10)
     for g in groups:
         assert params.group(g).flat.tobytes() == before[g][0].tobytes()
         assert states[g].velocity.tobytes() == before[g][1].tobytes()
@@ -163,7 +162,7 @@ def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
     monkeypatch.setattr(trainer, "Tape", RecordingTape)
     n = 64
     params, x_s, y_s, x_t, m = tiny_setup(n=n)
-    step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+    step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     (tape,) = tapes
     assert len(tape.recorded) > 0
     assert all(node.value.shape[0] != n * n for node in tape.recorded)
@@ -182,7 +181,7 @@ def test_step_tape_freed_without_cycle_collector(monkeypatch):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        comp = step_losses_and_grads(params, x_s, y_s, x_t, m, TrainConfig())
+        comp = step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
         (tape,) = tapes
         assert tape() is None
     finally:
@@ -194,7 +193,7 @@ def test_step_tape_freed_without_cycle_collector(monkeypatch):
 def test_gradient_routing_backbone_toggle():
     params, x_s, y_s, x_t, m = tiny_setup()
     comp = step_losses_and_grads(params, x_s, y_s, x_t, m,
-                                 TrainConfig(cgi_updates_backbone=True))
+                                 ExperimentConfig(cgi_updates_backbone=True))
     cgi_groups = set(comp.grads["cgi"])
     assert "theta" in cgi_groups
     assert np.any(comp.grads["cgi"]["theta"] != 0)
@@ -203,11 +202,10 @@ def test_gradient_routing_backbone_toggle():
 
 def test_step_zero_lambdas_is_supervised_step():
     params, x_s, y_s, x_t, m = tiny_setup()
-    cfg = TrainConfig()
-    sched = ScheduleConfig(lambda2_a=0.0, lambda3_a=0.0)
+    cfg = ExperimentConfig(lambda2_a=0.0, lambda3_a=0.0)
     before_g = {k: v.copy() for k, v in params.theta_g.items()}
     before_h = {k: v.copy() for k, v in params.theta_h.items()}
-    train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, sched, cfg, 0, 10)
+    train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 0, 10)
     for k in before_g:
         assert np.array_equal(params.theta_g[k], before_g[k])
     for k in before_h:
@@ -216,12 +214,11 @@ def test_step_zero_lambdas_is_supervised_step():
 
 def test_step_lambda1_lambda3_zero_leaves_head_bit_exact():
     params, x_s, y_s, x_t, m = tiny_setup()
-    cfg = TrainConfig()
-    sched = ScheduleConfig(lambda1=0.0, lambda3_a=0.0)
+    cfg = ExperimentConfig(lambda1=0.0, lambda3_a=0.0)
     before_h = {k: v.copy() for k, v in params.theta_h.items()}
     # iteration 5 of 10 so lambda2 > 0 and theta, theta_g do move
     before_t = {k: v.copy() for k, v in params.theta.items()}
-    train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, sched, cfg, 5, 10)
+    train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 5, 10)
     for k in before_h:
         assert np.array_equal(params.theta_h[k], before_h[k])
     assert any(not np.array_equal(params.theta[k], before_t[k]) for k in before_t)
@@ -231,9 +228,8 @@ def test_step_supervised_matches_manual_composition():
     # lambda2 = lambda3 = 0 must reproduce a plain classification update
     params_a, x_s, y_s, x_t, m = tiny_setup(seed=3)
     params_b = params_a.copy()
-    cfg = TrainConfig()
-    sched = ScheduleConfig(lambda2_a=0.0, lambda3_a=0.0)
-    rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, sched, cfg, 0, 10)
+    cfg = ExperimentConfig(lambda2_a=0.0, lambda3_a=0.0)
+    rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 0, 10)
     assert rec["lambda2"] == 0.0 and rec["lambda3"] == 0.0
 
     from probadapt import autodiff as ad
@@ -248,7 +244,7 @@ def test_step_supervised_matches_manual_composition():
     p = head_graph(h_leaves, feature_graph(theta_leaves, tape.leaf(x_s)))
     loss = L.classification_loss(p, y_s, smoothing=cfg.label_smoothing)
     grads = ad.backward(loss)
-    eta = lr_schedule(sched.eta0, sched.tau, sched.upsilon, 0)
+    eta = lr_schedule(cfg.eta0, cfg.tau, cfg.upsilon, 0)
     for group, leaves, mult in (("theta", theta_leaves, 1.0), ("theta_h", h_leaves, 10.0)):
         gd = np.concatenate([ad.grad_or_zero(grads, leaf).ravel() for leaf in leaves.values()])
         sgd_step([(params_b.group(group), gd,
@@ -266,30 +262,29 @@ def test_step_full_combination_matches_manual_recomposition(backbone):
     # penalty joins the extractor's terms only when the flag asks for it
     params_a, x_s, y_s, x_t, m = tiny_setup(seed=8)
     params_b = params_a.copy()
-    cfg = TrainConfig(cgi_updates_backbone=backbone)
-    sched = ScheduleConfig()
+    cfg = ExperimentConfig(cgi_updates_backbone=backbone)
     iteration, total = 7, 10
-    rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, sched, cfg,
+    rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, cfg,
                      iteration, total)
 
     from probadapt.optim import sgd_step
 
     comp = step_losses_and_grads(params_b, x_s, y_s, x_t, m, cfg)
-    eta = lr_schedule(sched.eta0, sched.tau, sched.upsilon, iteration)
-    lam2 = lambda_schedule(sched.lambda2_a, sched.delta, iteration / total)
-    lam3 = lambda_schedule(sched.lambda3_a, sched.delta, iteration / total)
+    eta = lr_schedule(cfg.eta0, cfg.tau, cfg.upsilon, iteration)
+    lam2 = lambda_schedule(cfg.lambda2_a, cfg.delta, iteration / total)
+    lam3 = lambda_schedule(cfg.lambda3_a, cfg.delta, iteration / total)
     assert rec["lambda2"] == lam2 and rec["lambda3"] == lam3 and rec["eta"] == eta
-    theta_terms = ((sched.lambda1, "cls"), (lam2, "cpa"))
+    theta_terms = ((cfg.lambda1, "cls"), (lam2, "cpa"))
     if backbone:
         theta_terms += ((lam3, "cgi"),)
     combos = {"theta": theta_terms,
               "theta_g": ((lam2, "cpa"),),
-              "theta_h": ((sched.lambda1, "cls"), (lam3, "cgi"))}
+              "theta_h": ((cfg.lambda1, "cls"), (lam3, "cgi"))}
     for group, terms in combos.items():
         flat = np.zeros_like(params_b.group(group).flat)
         for weight, loss_name in terms:
             flat += weight * comp.grads[loss_name][group]
-        lr = eta * (sched.head_lr_multiplier if group == "theta_h" else 1.0)
+        lr = eta * (cfg.head_lr_multiplier if group == "theta_h" else 1.0)
         sgd_step([(params_b.group(group), flat,
                    SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay), lr)])
     for group in ("theta", "theta_g", "theta_h"):
@@ -326,7 +321,7 @@ def test_pda_mask_all_below_threshold_errors():
 
 
 def test_pda_default_threshold_is_reference_value():
-    assert PdaConfig().threshold == 14
+    assert ExperimentConfig().pda_threshold == 14
 
 
 # ------------------------------------------------------------ full train
@@ -353,8 +348,8 @@ def pretrained_and_pair(cfg):
 def test_train_deterministic_reports():
     cfg = fast_cfg()
     params, pair = pretrained_and_pair(cfg)
-    rep1, out1 = train(params, pair, cfg.schedule_config(), cfg.train_config())
-    rep2, out2 = train(params, pair, cfg.schedule_config(), cfg.train_config())
+    rep1, out1 = train(params, pair, cfg)
+    rep2, out2 = train(params, pair, cfg)
     assert rep1 == rep2
     for group in ("theta", "theta_g", "theta_h"):
         for k in out1.group(group):
@@ -364,7 +359,7 @@ def test_train_deterministic_reports():
 def test_train_report_shape_and_schedule_columns():
     cfg = fast_cfg()
     params, pair = pretrained_and_pair(cfg)
-    rep, _ = train(params, pair, cfg.schedule_config(), cfg.train_config())
+    rep, _ = train(params, pair, cfg)
     assert [r.epoch for r in rep.epochs] == list(range(cfg.epochs))
     assert rep.epochs[0].lambda2 < rep.epochs[-1].lambda2
     assert all(np.isfinite([r.l_cls, r.l_cpa, r.l_cgi]).all() for r in rep.epochs)
@@ -373,10 +368,28 @@ def test_train_report_shape_and_schedule_columns():
 def test_train_pda_threshold_zero_matches_uda():
     cfg = fast_cfg()
     params, pair = pretrained_and_pair(cfg)
-    rep_uda, _ = train(params, pair, cfg.schedule_config(), cfg.train_config())
-    rep_pda, _ = train(params, pair, cfg.schedule_config(),
-                       cfg.train_config(with_pda=True, pda_threshold=0))
+    rep_uda, _ = train(params, pair, cfg)
+    rep_pda, _ = train(params, pair, replace(cfg, mode="pda", pda_threshold=0))
     assert rep_uda == rep_pda
+
+
+@pytest.mark.parametrize("mode, passes", [("uda", 1), ("pda", 2)])
+def test_train_makes_one_target_pass_per_epoch(monkeypatch, mode, passes):
+    # The partial-set mask for the next epoch and the final mask reuse the
+    # probabilities of the evaluation just made; only pda adds the mask for
+    # epoch 0, and both modes add the final predictions.
+    cfg = fast_cfg(mode=mode, pda_threshold=0)
+    params, pair = pretrained_and_pair(cfg)
+    heads = []
+
+    def counting(params, head, inputs):
+        if inputs is pair.target.inputs:
+            heads.append(head)
+        return predict_proba(params, head, inputs)
+
+    monkeypatch.setattr(trainer, "predict_proba", counting)
+    train(params, pair, cfg)
+    assert heads == ["task"] * (cfg.epochs + passes)
 
 
 def test_train_keeps_prototype_half_out_of_batches():
@@ -401,14 +414,14 @@ def test_train_rejects_empty_domain():
     empty_target = UnlabeledDataset(pair.target.inputs[:0], "target", pair.target.class_count)
     broken = UdaPair(source=pair.source, target=empty_target, eval_labels=pair.eval_labels[:0])
     with pytest.raises(ContractViolationError):
-        train(params, broken, cfg.schedule_config(), cfg.train_config())
+        train(params, broken, cfg)
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolationError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ContractViolationError):
-        TrainConfig(beta_variant="bogus")
+    with pytest.raises(ConfigError, match="train.epochs"):
+        ExperimentConfig(epochs=0)
+    with pytest.raises(ConfigError, match="train.beta_variant"):
+        ExperimentConfig(beta_variant="bogus")
 
 
 def default_like(**kw):
@@ -419,8 +432,7 @@ def default_like(**kw):
 
 def run_to_final(cfg, l2, l3):
     params, pair = pretrained_and_pair(cfg)
-    rep, _ = train(params, pair, cfg.schedule_config(lambda2_a=l2, lambda3_a=l3),
-                   cfg.train_config())
+    rep, _ = train(params, pair, replace(cfg, lambda2_a=l2, lambda3_a=l3))
     return rep.final_target_accuracy
 
 
