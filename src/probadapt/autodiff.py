@@ -13,8 +13,16 @@ reductions (row_sum, col_sum, mean) and the fused pairwise entropy
 :func:`pair_entropy` behind the CPA loss, which builds only the pairs with a
 nonzero weight. The losses in this package are all expressible in these.
 
+Two more primitives fuse a composite of these into one node, because every
+training step records and walks each node: :func:`dense` is
+``relu(x @ w + b)`` or ``row_softmax(x @ w + b)`` (every model layer), and
+:func:`weighted_log_rows` is ``row_sum(weights * log(clamp_floor(p)))``
+(the cross-entropy terms). Each runs its composite's numpy operations in the
+same order, through helpers it shares with the composite's primitives, so
+values and gradients equal the composite's bit for bit.
+
 Inputs enter a tape as leaves, which :func:`backward` differentiates, or as
-constants, which it never does. The binary primitives matmul, add and mul
+constants, which it never does. The primitives matmul, add, mul and dense
 note at build time which operands are constants, and their VJPs return None
 for those instead of computing a product nobody reads.
 
@@ -116,13 +124,14 @@ class Tape:
         quantity that must not be trained.
 
         :func:`backward` never accumulates a gradient into a constant and
-        never returns one for it, and matmul, add and mul compute no VJP
-        product for a constant operand, so a constant costs no VJP work.
+        never returns one for it, and matmul, add, mul and dense compute no
+        VJP product for a constant operand, so a constant costs no VJP work.
         Recording a detached copy of a tensor's value with
         ``tape.constant(t.value)`` stops every gradient at that point, so none
         can flow through it into upstream parameters. A large operand that
         never needs a gradient can instead be a plain array argument of a
-        primitive, as :func:`pair_entropy`'s weights are.
+        primitive, as :func:`pair_entropy`'s and :func:`weighted_log_rows`'s
+        weights are.
         """
         return Tensor(as_matrix(value).copy(), self, "constant")
 
@@ -147,17 +156,63 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _matmul_value(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    if av.shape[1] != bv.shape[0]:
+        raise ContractViolationError(f"matmul shapes {av.shape} x {bv.shape} do not conform")
+    return av @ bv
+
+
+def _matmul_vjp(g, av, bv, need_a, need_b):
+    return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
+
+
+def _add_value(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    try:
+        return av + bv
+    except ValueError as exc:
+        raise ContractViolationError(f"add shapes {av.shape} + {bv.shape}: {exc}") from exc
+
+
+def _add_vjp(g, ash, bsh, need_a, need_b):
+    return ((_unbroadcast(g, ash) if need_a else None),
+            (_unbroadcast(g, bsh) if need_b else None))
+
+
+def _relu_value(x: np.ndarray) -> np.ndarray:
+    # np.maximum (not where) so NaN propagates instead of flushing to zero
+    return np.maximum(x, 0.0)
+
+
+def _relu_vjp(g, x, value):
+    return g * (x > 0.0)
+
+
+def _softmax_value(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_vjp(g, x, s):
+    inner = (g * s).sum(axis=1, keepdims=True)
+    return s * (g - inner)
+
+
+# Activation name -> (value(x), vjp(g, x, value)), shared by the standalone
+# primitives and :func:`dense`.
+_ACTIVATIONS = {"relu": (_relu_value, _relu_vjp),
+                "row_softmax": (_softmax_value, _softmax_vjp)}
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolationError(f"matmul shapes {a.shape} x {b.shape} do not conform")
     av, bv = a.value, b.value
     need_a, need_b = a.op != "constant", b.op != "constant"
 
     def vjp(g):
-        return (g @ bv.T if need_a else None), (av.T @ g if need_b else None)
+        return _matmul_vjp(g, av, bv, need_a, need_b)
 
-    return Tensor(av @ bv, tape, "matmul", (a, b), vjp)
+    return Tensor(_matmul_value(av, bv), tape, "matmul", (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -167,41 +222,61 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     same-shape addition.
     """
     tape = _same_tape(a, b)
-    try:
-        value = a.value + b.value
-    except ValueError as exc:
-        raise ContractViolationError(f"add shapes {a.shape} + {b.shape}: {exc}") from exc
     ash, bsh = a.shape, b.shape
     need_a, need_b = a.op != "constant", b.op != "constant"
 
     def vjp(g):
-        return ((_unbroadcast(g, ash) if need_a else None),
-                (_unbroadcast(g, bsh) if need_b else None))
+        return _add_vjp(g, ash, bsh, need_a, need_b)
 
-    return Tensor(value, tape, "add_bias", (a, b), vjp)
+    return Tensor(_add_value(a.value, b.value), tape, "add_bias", (a, b), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0.0
+    xv = x.value
+    value = _relu_value(xv)
 
     def vjp(g):
-        return (g * mask,)
+        return (_relu_vjp(g, xv, value),)
 
-    # np.maximum (not where) so NaN propagates instead of flushing to zero
-    return Tensor(np.maximum(x.value, 0.0), x.tape, "relu", (x,), vjp)
+    return Tensor(value, x.tape, "relu", (x,), vjp)
 
 
 def row_softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax over each row; rows sum to 1."""
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    xv = x.value
+    s = _softmax_value(xv)
 
     def vjp(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - inner),)
+        return (_softmax_vjp(g, xv, s),)
 
     return Tensor(s, x.tape, "row_softmax", (x,), vjp)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """``activation(x @ w + b)`` in one node; ``activation`` is "relu" or
+    "row_softmax".
+
+    Forward and VJP run the numpy operations of the composite
+    ``activation(add(matmul(x, w), b))`` in the same order, through the
+    helpers those primitives use, so value and gradients equal it bit for
+    bit. As in matmul and add, a constant operand gets no VJP product.
+    """
+    if activation not in _ACTIVATIONS:
+        raise ContractViolationError(f"unknown dense activation {activation!r}")
+    act_value, act_vjp = _ACTIVATIONS[activation]
+    tape = _same_tape(x, w, b)
+    xv, wv = x.value, w.value
+    xw = _matmul_value(xv, wv)
+    z = _add_value(xw, b.value)
+    value = act_value(z)
+    xwsh, bsh = xw.shape, b.shape
+    need_x, need_w, need_b = (t.op != "constant" for t in (x, w, b))
+
+    def vjp(g):
+        g_xw, g_b = _add_vjp(act_vjp(g, z, value), xwsh, bsh, True, need_b)
+        return (*_matmul_vjp(g_xw, xv, wv, need_x, need_w), g_b)
+
+    return Tensor(value, tape, "dense", (x, w, b), vjp)
 
 
 def log(x: Tensor) -> Tensor:
@@ -362,6 +437,16 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
     return Tensor(total * -0.5 + 0.0, tape, "pair_entropy", (a, b), vjp)
 
 
+def _clamp_floor_value(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """max(x, floor) as max(x - floor, 0) + floor, and the mask of entries above it."""
+    shifted = x - floor
+    mask = shifted > 0.0
+    # np.maximum (not where) so NaN propagates instead of flushing to zero
+    value = np.maximum(shifted, 0.0, out=shifted)
+    value += floor
+    return value, mask
+
+
 def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
     """max(x, floor) as max(x - floor, 0) + floor, in one node.
 
@@ -370,17 +455,36 @@ def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
     ``scalar_affine(relu(scalar_affine(x, 1.0, -floor)), 1.0, floor)``, whose
     products with 1.0 are exact, so value and gradient equal it bit for bit.
     """
-    floor = float(floor)
-    shifted = x.value - floor
-    mask = shifted > 0.0
+    value, mask = _clamp_floor_value(x.value, float(floor))
 
     def vjp(g):
         return (g * mask,)
 
-    # np.maximum (not where) so NaN propagates instead of flushing to zero
-    value = np.maximum(shifted, 0.0, out=shifted)
-    value += floor
     return Tensor(value, x.tape, "clamp_floor", (x,), vjp)
+
+
+def weighted_log_rows(weights, p: Tensor) -> Tensor:
+    """Per-row sum of ``weights * log(max(p, EPS))``, shape (n, 1), in one node.
+
+    Forward and VJP run the numpy operations of the composite
+    ``row_sum(mul(tape.constant(weights), log(clamp_floor(p))))`` in the same
+    order, so value and gradient equal it bit for bit. ``weights`` is a
+    plain array of ``p``'s shape, copied as :meth:`Tape.constant` copies, and
+    no gradient is computed for it. The clamp keeps every log argument at or
+    above EPS, so no input raises the DomainError :func:`log` guards against.
+    """
+    w = np.array(weights, dtype=np.float64)
+    if w.shape != p.shape:
+        raise ContractViolationError(
+            f"weighted_log_rows weights shape {w.shape} != operand shape {p.shape}")
+    clamped, mask = _clamp_floor_value(p.value, EPS)
+    c = p.shape[1]
+
+    def vjp(g):
+        return (np.repeat(g, c, axis=1) * w / clamped * mask,)
+
+    return Tensor((w * np.log(clamped)).sum(axis=1, keepdims=True), p.tape,
+                  "weighted_log_rows", (p,), vjp)
 
 
 def backward(output: Tensor) -> dict[Tensor, np.ndarray]:

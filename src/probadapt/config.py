@@ -6,13 +6,15 @@ a fixed schema: unknown keys are rejected by name. Serialisation is canonical
 reordering of the input document. :class:`ExperimentConfig` is the one run
 configuration the trainer and runner read; it validates itself on
 construction, so a parsed document, a programmatic config and a
-``dataclasses.replace`` copy pass the same checks.
+``dataclasses.replace`` copy pass the same checks, and it is frozen, so no
+later assignment can bypass them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 from .data import GeneratorSpec, Shift
@@ -23,7 +25,7 @@ MODES = ("uda", "pda", "baseline", "fig1", "ablation_beta", "ablation_penalty",
          "ablation_components")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "uda"
     seed: int = 0
@@ -62,8 +64,16 @@ class ExperimentConfig:
     pretrain_lr: float = 0.05
 
     def __post_init__(self):
-        for key, (attr, _, check) in SCHEMA.items():
+        for key, (attr, parser, check) in SCHEMA.items():
             value = getattr(self, attr)
+            try:
+                value = _AS_PARSED[parser](value)
+            except TypeError as exc:
+                raise ConfigError(f"key {key!r}: value {value!r} is not {exc}") from None
+            # Stored as the parser would produce it (an int given for a float
+            # key becomes a float), so serialisation and the hash match the
+            # parsed document's.
+            object.__setattr__(self, attr, value)
             if check is not None and not check(value):
                 raise ConfigError(f"key {key!r}: value {value!r} violates its constraint")
         if self.task_classes > self.pretrain_classes:
@@ -105,6 +115,56 @@ def _parse_optional_int(text: str):
 
 def _parse_optional_float(text: str):
     return None if not text.strip() or text.strip().lower() == "none" else float(text)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError("an integer")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("a number")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("a string")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("a boolean")
+    return value
+
+
+def _reals(value) -> tuple[float, ...]:
+    if not isinstance(value, (tuple, list)):
+        raise TypeError("a sequence of numbers")
+    try:
+        return tuple(_real(v) for v in value)
+    except TypeError:
+        raise TypeError("a sequence of numbers") from None
+
+
+def _optional(as_type):
+    return lambda value: None if value is None else as_type(value)
+
+
+# Schema parser -> the check that a programmatic value has the parser's
+# result type, returning it as the parser would (TypeError naming the type).
+_AS_PARSED = {
+    int: _integer,
+    float: _real,
+    str: _string,
+    _parse_bool: _boolean,
+    _parse_floats: _reals,
+    _parse_optional_int: _optional(_integer),
+    _parse_optional_float: _optional(_real),
+}
 
 
 def _fmt(value) -> str:

@@ -260,8 +260,7 @@ def prototype_regularizer(p_g_s, labels: np.ndarray, prototype: np.ndarray) -> T
         raise ContractViolationError("label out of range for the prototype")
     m_rows = clamp_probs(prototype)[labels]
     const_term = float(np.sum(m_rows * np.log(m_rows)))
-    cross = ad.col_sum(ad.row_sum(ad.mul(p.tape.constant(m_rows),
-                                         ad.log(ad.clamp_floor(p)))))
+    cross = ad.col_sum(ad.weighted_log_rows(m_rows, p))
     return ad.scalar_affine(cross, -1.0, const_term)
 
 
@@ -311,17 +310,14 @@ def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
     if not (0.0 <= smoothing < 1.0):
         raise ContractViolationError("smoothing must lie in [0, 1)")
     _check_label_range(labels, c)
-    tape = p.tape
     if focal_gamma is None:
         targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
         targets[np.arange(n), labels] = 1.0 - smoothing
-        ce_rows = ad.scalar_affine(
-            ad.row_sum(ad.mul(tape.constant(targets), ad.log(ad.clamp_floor(p)))), -1.0, 0.0)
-        return ad.mean(ce_rows)
+        return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p), -1.0, 0.0))
     gamma = float(focal_gamma)
     if gamma != 0.0 and gamma < 1.0:
         raise ContractViolationError("focal_gamma must be 0 or >= 1")
-    p_true = ad.row_sum(ad.mul(tape.constant(one_hot(labels, c)), p))
+    p_true = ad.row_sum(ad.mul(p.tape.constant(one_hot(labels, c)), p))
     neg_log = ad.scalar_affine(ad.log(ad.clamp_floor(p_true)), -1.0, 0.0)
     if gamma == 0.0:
         return ad.mean(neg_log)

@@ -76,13 +76,13 @@ def feature_graph(theta: dict[str, Tensor], x: Tensor) -> Tensor:
     n_layers = len(theta) // 2
     h = x
     for i in range(1, n_layers + 1):
-        h = ad.relu(ad.add(ad.matmul(h, theta[f"w{i}"]), theta[f"b{i}"]))
+        h = ad.dense(h, theta[f"w{i}"], theta[f"b{i}"], "relu")
     return h
 
 
 def head_graph(head: dict[str, Tensor], features: Tensor) -> Tensor:
     """Taped dense layer + row softmax."""
-    return ad.row_softmax(ad.add(ad.matmul(features, head["w"]), head["b"]))
+    return ad.dense(features, head["w"], head["b"], "row_softmax")
 
 
 def leaves_for(tape: Tape, group: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -101,12 +101,14 @@ def descend(params: ParamGroups, states: dict[str, SgdState], rates: dict[str, f
             terms: tuple[tuple[float, dict[str, np.ndarray]], ...]) -> None:
     """The one update path: step each group a ``(weight, group_gradients)`` term
     of nonzero weight reached by the sum of ``weight * g`` at ``rates[group]``, in
-    one :func:`sgd_step`. Other groups are not stepped, so no decay moves them."""
+    one :func:`sgd_step`. Other groups are not stepped, so no decay moves them.
+    A weight of 1.0 adds ``g`` itself: the product would equal it bit for bit."""
     total: dict[str, np.ndarray] = {}
     for weight, grads in terms:
         if weight != 0.0:
             for group, g in grads.items():
-                total[group] = total[group] + weight * g if group in total else weight * g
+                term = g if weight == 1.0 else weight * g
+                total[group] = total[group] + term if group in total else term
     sgd_step([(params.group(group), g, states[group], rates[group]) for group, g in total.items()])
 
 

@@ -84,6 +84,32 @@ def _check_gradients(rng):
     return ad.finite_difference_check(build_cgi, [logits_h]) < 1e-4
 
 
+def _check_fused_primitives(rng):
+    """dense and weighted_log_rows against their composites, value and every
+    gradient bit for bit, through an extractor layer, a head and a clamped log."""
+    values = [rng.normal(size=(6, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4)),
+              rng.normal(size=(4, 3)), rng.normal(size=(1, 3)),
+              rng.dirichlet(np.ones(3), size=6) * (rng.random((6, 3)) > 0.2)]
+    weights = rng.random((6, 3))
+
+    def run(fused):
+        tape = Tape()
+        x, w1, b1, w2, b2, p = leaves = [tape.leaf(v) for v in values]
+        if fused:
+            s = ad.dense(ad.dense(x, w1, b1, "relu"), w2, b2, "row_softmax")
+            rows = [ad.weighted_log_rows(weights, q) for q in (s, p)]
+        else:
+            h = ad.relu(ad.add(ad.matmul(x, w1), b1))
+            s = ad.row_softmax(ad.add(ad.matmul(h, w2), b2))
+            rows = [ad.row_sum(ad.mul(tape.constant(weights), ad.log(ad.clamp_floor(q))))
+                    for q in (s, p)]
+        out = ad.mean(ad.add(*rows))
+        grads = ad.backward(out)
+        return [out.value] + [grads[leaf] for leaf in leaves]
+
+    return all(np.array_equal(f, c) for f, c in zip(run(True), run(False)))
+
+
 def _check_sgd_plain(rng):
     p = ParamGroup({"w": np.array([[1.0, -2.0]])})
     g = np.array([0.5, 0.5])
@@ -113,6 +139,7 @@ CHECKS = (
     ("beta factor bounds", _check_beta_bounds),
     ("cgi degenerates to gini at beta=1", _check_cgi_degenerates),
     ("loss gradients vs finite differences", _check_gradients),
+    ("fused dense and weighted log equal their composites", _check_fused_primitives),
     ("plain sgd step", _check_sgd_plain),
     ("schedule fixed points", _check_schedules),
     ("pair distance symmetry", _check_pair_distance_symmetry),

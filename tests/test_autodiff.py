@@ -164,3 +164,140 @@ def test_determinism_bit_identical():
     v2, g2 = run()
     assert np.array_equal(v1, v2)
     assert np.array_equal(g1, g2)
+
+
+def composite_dense(x, w, b, activation):
+    act = ad.relu if activation == "relu" else ad.row_softmax
+    return act(ad.add(ad.matmul(x, w), b))
+
+
+def composite_weighted_log_rows(weights, p):
+    return ad.row_sum(ad.mul(p.tape.constant(weights), ad.log(ad.clamp_floor(p))))
+
+
+def fused_and_composite(build, values, seed):
+    """(output value, leaf gradients) of ``build(leaves, fused)`` for the fused
+    and the composite form, differentiated through a random linear functional
+    so every output entry gets its own cotangent."""
+    results = []
+    for fused in (True, False):
+        tape = Tape()
+        leaves = [tape.leaf(v) for v in values]
+        out = build(leaves, fused)
+        cotangent = rng_for(seed, "test/fused/cotangent").normal(size=out.shape)
+        loss = ad.col_sum(ad.row_sum(ad.mul(out, tape.constant(cotangent))))
+        grads = ad.backward(loss)
+        results.append((out.value, [grads[leaf] for leaf in leaves]))
+    return results
+
+
+@pytest.mark.parametrize("activation", ["relu", "row_softmax"])
+def test_dense_equals_composite_bitwise(activation):
+    rng = rng_for(3, f"test/dense/{activation}")
+    for trial in range(10):
+        n, d, m = (int(v) for v in rng.integers(1, 9, size=3))
+        values = [rng.normal(size=(n, d)), rng.normal(size=(d, m)), rng.normal(size=(1, m))]
+
+        def build(leaves, fused):
+            layer = ad.dense if fused else composite_dense
+            return layer(*leaves, activation)
+
+        (v_f, g_f), (v_c, g_c) = fused_and_composite(build, values, trial)
+        assert np.array_equal(v_f, v_c)
+        assert len(g_f) == 3 and all(np.array_equal(a, b) for a, b in zip(g_f, g_c))
+
+
+def test_dense_shared_input_equals_composite_bitwise():
+    # The extractor output feeds both heads, as with cgi_updates_backbone:
+    # its gradient is the sum of both heads' contributions.
+    rng = rng_for(4, "test/dense/shared")
+    values = [rng.normal(size=(8, 6)), rng.normal(size=(6, 5)), rng.normal(size=(1, 5)),
+              rng.normal(size=(5, 4)), rng.normal(size=(1, 4)),
+              rng.normal(size=(5, 3)), rng.normal(size=(1, 3))]
+
+    def build(leaves, fused):
+        layer = ad.dense if fused else composite_dense
+        x, w1, b1, wg, bg, wh, bh = leaves
+        h = layer(x, w1, b1, "relu")
+        return ad.add(ad.row_sum(layer(h, wg, bg, "row_softmax")),
+                      ad.row_sum(ad.mul(layer(h, wh, bh, "row_softmax"),
+                                        layer(h, wh, bh, "row_softmax"))))
+
+    (v_f, g_f), (v_c, g_c) = fused_and_composite(build, values, 0)
+    assert np.array_equal(v_f, v_c)
+    assert all(np.array_equal(a, b) for a, b in zip(g_f, g_c))
+
+
+def test_weighted_log_rows_equals_composite_bitwise():
+    rng = rng_for(5, "test/weighted_log_rows")
+    for trial in range(10):
+        n, c = (int(v) for v in rng.integers(1, 9, size=2))
+        p = rng.dirichlet(np.ones(c), size=n)
+        # entries at, below and just above the clamp floor
+        p[rng.random((n, c)) < 0.2] = rng.choice([0.0, 5e-13, EPS, 2e-12])
+        weights = rng.normal(size=(n, c))
+
+        def build(leaves, fused):
+            if fused:
+                return ad.weighted_log_rows(weights, leaves[0])
+            return composite_weighted_log_rows(weights, leaves[0])
+
+        (v_f, g_f), (v_c, g_c) = fused_and_composite(build, [p], trial)
+        assert v_f.shape == (n, 1)
+        assert np.array_equal(v_f, v_c)
+        assert np.array_equal(g_f[0], g_c[0])
+
+
+def test_fused_primitives_skip_constant_operands():
+    rng = rng_for(6, "test/fused/constant")
+    tape = Tape()
+    x = tape.constant(rng.normal(size=(4, 3)))
+    w, b = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(np.zeros((1, 2)))
+    for activation in ("relu", "row_softmax"):
+        out = ad.dense(x, w, b, activation)
+        g_x, g_w, g_b = out.vjp(np.ones(out.shape))
+        assert g_x is None and g_w is not None and g_b is not None
+    out = ad.dense(tape.leaf(x.value), w, tape.constant(b.value), "relu")
+    g_x, g_w, g_b = out.vjp(np.ones(out.shape))
+    assert g_x is not None and g_w is not None and g_b is None
+    grads = ad.backward(ad.mean(ad.dense(x, w, b, "relu")))
+    assert set(grads) == {w, b}
+
+
+def test_dense_relu_propagates_nan():
+    tape = Tape()
+    x = tape.leaf([[np.nan, 1.0], [1.0, -1.0]])
+    w, b = tape.leaf(np.eye(2)), tape.leaf([[0.0, 0.0]])
+    out = ad.dense(x, w, b, "relu")
+    assert np.isnan(out.value[0]).all()
+    assert np.array_equal(out.value[1], [1.0, 0.0])
+    assert np.array_equal(out.value, composite_dense(x, w, b, "relu").value, equal_nan=True)
+
+
+def test_fused_primitives_reject_nonconforming_shapes():
+    tape = Tape()
+    x, w = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 4)))
+    with pytest.raises(ContractViolationError, match="matmul"):
+        ad.dense(x, tape.leaf(np.ones((4, 4))), tape.leaf(np.ones((1, 4))), "relu")
+    with pytest.raises(ContractViolationError, match="add"):
+        ad.dense(x, w, tape.leaf(np.ones((1, 3))), "row_softmax")
+    with pytest.raises(ContractViolationError, match="activation"):
+        ad.dense(x, w, tape.leaf(np.ones((1, 4))), "tanh")
+    with pytest.raises(ContractViolationError, match="weighted_log_rows"):
+        ad.weighted_log_rows(np.ones((2, 4)), x)
+    with pytest.raises(ContractViolationError, match="weighted_log_rows"):
+        ad.weighted_log_rows(np.ones((1, 3)), x)
+
+
+def test_fused_primitives_finite_difference():
+    rng = rng_for(7, "test/fused/fd")
+    weights = rng.random((5, 3))
+
+    def build(tape, leaves):
+        x, w1, b1, w2, b2 = leaves
+        p = ad.dense(ad.dense(x, w1, b1, "relu"), w2, b2, "row_softmax")
+        return ad.mean(ad.weighted_log_rows(weights, p))
+
+    values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 6)), rng.normal(size=(1, 6)),
+              rng.normal(size=(6, 3)), rng.normal(size=(1, 3))]
+    assert ad.finite_difference_check(build, values) < 1e-4

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -104,6 +104,44 @@ def test_construction_validates_every_key():
         replace(ExperimentConfig(), momentum=1.5)
     with pytest.raises(ConfigError, match="generator.task_classes"):
         ExperimentConfig(task_classes=20)
+
+
+def test_config_is_frozen():
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = -1.0
+    assert cfg.tau == 3e-4
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"epochs": "3"}, "train.epochs"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"cgi_updates_backbone": "false"}, "train.cgi_updates_backbone"),
+    ({"cgi_updates_backbone": 0}, "train.cgi_updates_backbone"),
+    ({"eta0": "0.1"}, "schedule.eta0"),
+    ({"mode": None}, "mode"),
+    ({"translation": "123456"}, "generator.translation"),
+    ({"translation": (1.0, "2", 0.0, 0.0, 0.0, 0.0)}, "generator.translation"),
+    ({"target_class_count": 2.0}, "generator.target_class_count"),
+    ({"focal_gamma": "2"}, "train.focal_gamma"),
+])
+def test_wrongly_typed_value_names_key(values, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        ExperimentConfig(**values)
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        replace(ExperimentConfig(), **values)
+
+
+def test_int_for_float_key_stored_as_parsed():
+    cfg = ExperimentConfig(tau=0, focal_gamma=2, translation=[1, 0, 0, 0, 0, 0])
+    parsed = parse_config("schedule.tau = 0\ntrain.focal_gamma = 2\n"
+                          "generator.translation = 1,0,0,0,0,0\n")
+    assert type(cfg.tau) is float and type(cfg.focal_gamma) is float
+    assert cfg.translation == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert cfg == parsed
+    assert serialize_config(cfg) == serialize_config(parsed)
+    assert config_hash(cfg) == config_hash(parsed)
 
 
 EXAMPLE_CFG = Path(__file__).resolve().parents[1] / "configs" / "example.cfg"

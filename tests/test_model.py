@@ -283,6 +283,20 @@ def test_pretrain_divergence_is_never_stored(trainings):
     assert len(trainings) == 3
 
 
+def test_pretraining_step_records_one_node_per_layer(trainings, monkeypatch):
+    recorded = []
+    original_backward = ad.backward
+
+    def counting_backward(output):
+        recorded.append(len(output.tape.nodes))
+        return original_backward(output)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    # 8 parameter leaves, the input batch, 4 dense layers, 3 cross-entropy nodes
+    assert recorded and set(recorded) == {16}
+
+
 def test_pretraining_and_prediction_tapes_freed_without_cycle_collector(trainings,
                                                                          monkeypatch):
     tapes = []

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ seed = 1
 def fast_cfg(extra="", tmp_path=None, name="out"):
     cfg = parse_config(FAST + extra)
     if tmp_path is not None:
-        cfg.outputs = str(tmp_path / name)
+        cfg = replace(cfg, outputs=str(tmp_path / name))
     return cfg
 
 

@@ -122,7 +122,7 @@ def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
     monkeypatch.setattr(trainer, "Tape", CheckingTape)
     params, x_s, y_s, x_t, m = tiny_setup(n=16)
     step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
-    assert {"matmul", "elementwise_mul", "add_bias"} <= set(constant_reads)
+    assert {"dense", "elementwise_mul", "add_bias"} <= set(constant_reads)
     assert wasted == []
 
 
@@ -166,6 +166,23 @@ def test_step_tape_has_no_pair_replicated_rows(monkeypatch):
     (tape,) = tapes
     assert len(tape.recorded) > 0
     assert all(node.value.shape[0] != n * n for node in tape.recorded)
+
+
+def test_step_records_one_node_per_layer_and_cross_entropy_term(monkeypatch):
+    recorded = []
+    original_backward = ad.backward
+
+    def counting_backward(output):
+        recorded.append(len(output.tape.nodes))
+        return original_backward(output)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    params, x_s, y_s, x_t, m = tiny_setup(n=16)
+    step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
+    # 10 parameter leaves, 3 constants (both batches, the detached target
+    # features), 10 dense layers (3 per extractor pass, 4 heads), then 3
+    # classification, 7 CPA and 15 CGI nodes
+    assert recorded == [48, 48, 48]
 
 
 def test_step_tape_freed_without_cycle_collector(monkeypatch):
