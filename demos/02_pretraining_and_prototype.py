@@ -11,7 +11,7 @@ import numpy as np
 from probadapt.config import ExperimentConfig
 from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import (heldout_accuracy, learn_prototype, predict_proba,
-                             pretrain, save_checkpoint, split_source)
+                             pretrain, split_source)
 
 cfg = ExperimentConfig()
 spec = cfg.generator_spec()
@@ -31,6 +31,3 @@ prototype = learn_prototype(p_g_val, proto_half.labels, cfg.task_classes)
 print("prototype shape:", prototype.shape)
 print("row sums:", prototype.sum(axis=1))
 print("strongest pretrain cluster per adaptation class:", np.argmax(prototype, axis=1))
-
-save_checkpoint(params, "pretrained.ckpt")
-print("wrote pretrained.ckpt (text format, exact float round-trip)")

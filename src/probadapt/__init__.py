@@ -19,8 +19,7 @@ from .losses import (CgiState, beta_factor, calibration_matrix,
                      gini_impurity, js_divergence, pair_distance, prototype_regularizer,
                      pseudo_labels, source_weights, target_weights, transform_probability)
 from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
-                    init_params, learn_prototype, load_checkpoint, predict_proba,
-                    pretrain, save_checkpoint, split_source)
+                    init_params, learn_prototype, predict_proba, pretrain, split_source)
 from .optim import ParamGroup, SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid
 from .trainer import (TrainReport, lambda_schedule, lr_schedule, pda_category_counts,

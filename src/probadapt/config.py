@@ -21,8 +21,7 @@ from .data import GeneratorSpec, Shift
 from .errors import ConfigError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 
-MODES = ("uda", "pda", "baseline", "fig1", "ablation_beta", "ablation_penalty",
-         "ablation_components")
+MODES = ("uda", "pda", "baseline", "fig1")
 
 
 @dataclass(frozen=True)

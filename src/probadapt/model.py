@@ -259,101 +259,3 @@ def fig1_analog(params: ParamGroups, source: DomainDataset, target: UnlabeledDat
         "probability_distance": proxy_a_distance(head_forward(params.theta_g, f_s),
                                                  head_forward(params.theta_g, f_t), seed),
     }
-
-
-CHECKPOINT_MAGIC = "probadapt-params v1"
-
-
-def save_checkpoint(params: ParamGroups, path) -> None:
-    """Text checkpoint: magic line, then per tensor a header and row lines.
-
-    Header: ``tensor <group> <name> <rows> <cols>`` with group in
-    {theta, theta_g, theta_h}; each row is space-separated float reprs
-    (exact float64 round-trip).
-    """
-    lines = [CHECKPOINT_MAGIC]
-    for group in ("theta", "theta_g", "theta_h"):
-        for name, arr in params.group(group).items():
-            lines.append(f"tensor {group} {name} {arr.shape[0]} {arr.shape[1]}")
-            for row in arr:
-                lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path) -> ParamGroups:
-    """Read a :func:`save_checkpoint` file back, exactly.
-
-    Raises ContractViolationError on a malformed file and on a parameter set
-    with a missing or unexpected tensor or a shape the model cannot use.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ContractViolationError(f"not a parameter checkpoint: {path}")
-    groups: dict[str, dict[str, np.ndarray]] = {"theta": {}, "theta_g": {}, "theta_h": {}}
-    i = 1  # index of the line being read
-    try:
-        while i < len(lines):
-            if not lines[i].strip():
-                i += 1
-                continue
-            parts = lines[i].split()
-            if parts[0] != "tensor" or len(parts) != 5:
-                raise ContractViolationError(f"bad tensor header at line {i + 1}")
-            _, group, name, rows, cols = parts
-            if group not in groups:
-                raise ContractViolationError(f"unknown group {group!r} at line {i + 1}")
-            arr = np.empty((int(rows), int(cols)))
-            for row in arr:
-                i += 1
-                vals = lines[i].split()
-                if len(vals) != len(row):
-                    raise ContractViolationError(f"bad row width at line {i + 1}")
-                row[:] = [float(v) for v in vals]
-            groups[group][name] = arr
-            i += 1
-    except ContractViolationError:
-        raise
-    except IndexError:
-        raise ContractViolationError(f"checkpoint ends before line {i + 1}") from None
-    except ValueError as exc:
-        raise ContractViolationError(f"bad number at line {i + 1}: {exc}") from None
-    _check_checkpoint_shapes(groups)
-    return ParamGroups(*(ParamGroup(groups[g]) for g in ("theta", "theta_g", "theta_h")))
-
-
-def _check_checkpoint_shapes(groups: dict[str, dict[str, np.ndarray]]) -> None:
-    """Reject a parameter set :func:`init_params` could not have produced.
-
-    Every tensor must be present and no other; each bias is 1 x fan_out; the
-    extractor's widths chain into FEATURE_DIM; both heads take FEATURE_DIM
-    inputs. Errors name the offending tensor as ``<group>.<name>``.
-    """
-    n_layers = len(HIDDEN_DIMS) + 1
-    layers = [("theta", f"w{i}", f"b{i}") for i in range(1, n_layers + 1)]
-    layers += [("theta_g", "w", "b"), ("theta_h", "w", "b")]
-    for group, tensors in groups.items():
-        expected = {name for grp, w, b in layers if grp == group for name in (w, b)}
-        missing, extra = sorted(expected - set(tensors)), sorted(set(tensors) - expected)
-        if missing:
-            raise ContractViolationError(f"checkpoint lacks tensor {group}.{missing[0]}")
-        if extra:
-            raise ContractViolationError(f"checkpoint has unexpected tensor {group}.{extra[0]}")
-    width = None
-    for group, w_name, b_name in layers:
-        w, b = groups[group][w_name], groups[group][b_name]
-        fan_in = width if group == "theta" else FEATURE_DIM
-        if fan_in is not None and w.shape[0] != fan_in:
-            raise ContractViolationError(
-                f"checkpoint tensor {group}.{w_name} takes {w.shape[0]} inputs, expected {fan_in}")
-        if b.shape != (1, w.shape[1]):
-            raise ContractViolationError(
-                f"checkpoint tensor {group}.{b_name} has shape {b.shape}, "
-                f"expected (1, {w.shape[1]})")
-        if group == "theta":
-            width = w.shape[1]
-            if w_name == f"w{n_layers}" and width != FEATURE_DIM:
-                raise ContractViolationError(
-                    f"checkpoint tensor theta.{w_name} outputs {width} features, "
-                    f"expected {FEATURE_DIM}")

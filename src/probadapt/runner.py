@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, config_hash
 from .data import make_pretrain_task, make_uda_pair
-from .errors import ContractViolationError, ProbadaptError, TrainingDivergedError
+from .errors import ConfigError, ContractViolationError, ProbadaptError, TrainingDivergedError
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import TrainReport, train
 
@@ -80,31 +80,8 @@ def write_epochs_csv(path: Path, report: TrainReport) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_epochs_csv(path: Path) -> list[dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != EPOCHS_HEADER:
-        raise ContractViolationError(f"unexpected epochs.csv header in {path}")
-    cols = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        row = dict(zip(cols, parts))
-        rows.append({k: (int(v) if k == "epoch" else float(v)) for k, v in row.items()})
-    return rows
-
-
 def write_summary(path: Path, summary: dict) -> None:
     _atomic_write(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
-
-def read_summary(path: Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def summary_metrics(summary: dict) -> dict:
-    """Summary minus run-identity fields; used to compare runs across modes."""
-    drop = {"mode", "config_hash", "pda_threshold"}
-    return {k: v for k, v in summary.items() if k not in drop}
 
 
 def _pretrained_model(cfg: ExperimentConfig):
@@ -145,22 +122,11 @@ def _train_summary(cfg: ExperimentConfig, report: TrainReport, pretrain_acc: flo
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRecord:
     """Execute one mode pipeline and write its report files.
 
-    The ablation modes delegate to :func:`run_grid` and return the aggregate
-    record. Divergence produces a record with status "incomplete" instead of
+    Divergence produces a record with status "incomplete" instead of
     raising, and a run whose final target predictions all fall in one class
     (see :func:`collapsed`) has status "collapsed"; config errors raise
     before anything is written.
     """
-    if cfg.mode == "ablation_beta":
-        return _grid_aggregate(cfg, run_grid(cfg, "beta_variant"))
-    if cfg.mode == "ablation_penalty":
-        return _grid_aggregate(cfg, run_grid(cfg, "penalty_variant"))
-    if cfg.mode == "ablation_components":
-        return _grid_aggregate(cfg, run_grid(cfg, "components"))
-
-    if cfg.mode not in ("uda", "baseline", "pda", "fig1"):
-        raise ContractViolationError(f"unknown mode {cfg.mode!r}")
-
     out = resolve_out_dir(cfg) if out_dir is None else out_dir
     out.mkdir(parents=True, exist_ok=True)
     record = RunRecord(mode=cfg.mode, seed=cfg.seed, config_hash=config_hash(cfg),
@@ -214,14 +180,13 @@ def _grid_points(cfg: ExperimentConfig, axis: str):
     """(name, config) pairs for one ablation axis; all share the base seed."""
     if axis == "beta_variant":
         for variant in ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl"):
-            yield variant, replace(cfg, mode="uda", beta_variant=variant)
+            yield variant, replace(cfg, beta_variant=variant)
     elif axis == "penalty_variant":
         for variant in ("GE", "CGE", "GI", "CGI_noreg", "CGI"):
-            yield variant, replace(cfg, mode="uda", penalty_variant=variant)
+            yield variant, replace(cfg, penalty_variant=variant)
     elif axis == "components":
         for name, use_cpa, use_cgi, backbone in COMPONENT_GRID:
-            yield name, replace(cfg, mode="uda",
-                                lambda2_a=cfg.lambda2_a if use_cpa else 0.0,
+            yield name, replace(cfg, lambda2_a=cfg.lambda2_a if use_cpa else 0.0,
                                 lambda3_a=cfg.lambda3_a if use_cgi else 0.0,
                                 cgi_updates_backbone=backbone)
     elif axis == "pda_threshold":
@@ -234,11 +199,18 @@ def _grid_points(cfg: ExperimentConfig, axis: str):
 def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
     """One run per grid point under ``<outputs>/<axis>/<point>/``.
 
+    The base config's mode must be ``uda``, or ``pda`` on the
+    ``pda_threshold`` axis: each point sets its own mode (``uda``, or ``pda``
+    on that axis), so any other base mode raises ConfigError before a point
+    runs instead of being silently overridden.
     A point that raises one of the package's errors is recorded as failed and
     the grid continues; any other exception is a programming error and
     propagates. Writes an aggregated ``grid_summary.csv`` next to the
     per-point directories.
     """
+    if cfg.mode != "uda" and not (cfg.mode == "pda" and axis == "pda_threshold"):
+        raise ConfigError(f"key 'mode': a grid runs from mode uda (or pda on the "
+                          f"pda_threshold axis), not {cfg.mode!r} on {axis!r}")
     records = []
     base = resolve_out_dir(cfg, axis)
     for name, point_cfg in _grid_points(cfg, axis):
@@ -271,20 +243,3 @@ def read_grid_summary(path: Path) -> list[dict]:
         rows.append({"point": point, "status": status,
                      "final_target_accuracy": float(acc) if acc else None})
     return rows
-
-
-def _grid_aggregate(cfg: ExperimentConfig, records: list[RunRecord]) -> RunRecord:
-    """One record for a whole grid: ``incomplete`` if any point is
-    ``incomplete`` or ``failed``, else ``collapsed`` if any point collapsed,
-    else ``complete``."""
-    statuses = {r.status for r in records}
-    if statuses & {"incomplete", "failed"}:
-        status = "incomplete"
-    elif "collapsed" in statuses:
-        status = "collapsed"
-    else:
-        status = "complete"
-    return RunRecord(mode=cfg.mode, seed=cfg.seed, config_hash=config_hash(cfg),
-                     status=status, out_dir=resolve_out_dir(cfg),
-                     summary={"status": status,
-                              "points": [r.summary.get("grid_point") for r in records]})

@@ -18,9 +18,11 @@ from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import init_params, pretrain
-from probadapt.runner import run_experiment, summary_metrics
+from probadapt.runner import run_experiment
 from probadapt.seeding import rng_for
 from probadapt.trainer import lambda_schedule, lr_schedule, step_losses_and_grads, train
+
+from report_files import summary_metrics
 
 
 def rand_probs(rng, n, c):

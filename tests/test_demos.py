@@ -1,8 +1,8 @@
 """Every narrative script under ``demos/`` runs to completion.
 
 Each demo runs in a fresh interpreter whose working directory and output
-root are the test's temporary directory, so files a demo writes (demo 02's
-``pretrained.ckpt``) never land in the repository.
+root are the test's temporary directory, so files a demo writes never land
+in the repository.
 """
 
 import os

@@ -13,8 +13,8 @@ from probadapt.config import ExperimentConfig
 from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from probadapt.model import (feature_extract, head_forward, init_params,
-                             heldout_accuracy, learn_prototype, load_checkpoint,
-                             predict_proba, pretrain, save_checkpoint, split_source)
+                             heldout_accuracy, learn_prototype, predict_proba, pretrain,
+                             split_source)
 from probadapt.data import DomainDataset
 from probadapt.autodiff import EPS
 from probadapt.optim import SgdState, sgd_step
@@ -218,12 +218,9 @@ def assert_named_tensors_view_the_flat_buffers(params):
             assert np.array_equal(value, before[name] - 0.5)
 
 
-def test_named_tensors_view_the_flat_buffers(trainings, tmp_path):
+def test_named_tensors_view_the_flat_buffers(trainings):
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11))
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11).copy())
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(3, 5, 2, seed=11), path)
-    assert_named_tensors_view_the_flat_buffers(load_checkpoint(path))
     task = make_pretrain_task(pretrain_spec())
     pretrain(task, **PRETRAIN_ARGS)
     hit = pretrain(task, **PRETRAIN_ARGS)
@@ -388,80 +385,6 @@ def test_split_rejects_tiny_class():
     ds = small_labeled([0, 0, 1])
     with pytest.raises(ContractViolationError):
         split_source(ds, seed=0)
-
-
-def test_checkpoint_round_trip_exact(tmp_path):
-    params = init_params(3, 5, 2, seed=11)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    for group in ("theta", "theta_g", "theta_h"):
-        for name, arr in params.group(group).items():
-            assert np.array_equal(arr, loaded.group(group)[name])
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    # Line 2 of a saved init_params(3, 5, 2) is "tensor theta w1 3 64", lines 3-5
-    # are its rows. Each malformed file must name its cause and its line.
-    path = tmp_path / "junk.ckpt"
-    save_checkpoint(init_params(3, 5, 2, seed=11), path)
-    lines = path.read_text().splitlines()
-    cases = [
-        (["not a checkpoint"], "not a parameter checkpoint"),
-        (lines[:4], "ends before line 5"),
-        (lines[:1] + ["tensor theta w1 3 sixty-four"] + lines[2:], "line 2"),
-        (lines[:3] + ["0.5 oops" + lines[3][lines[3].index(" ", 4):]] + lines[4:], "line 4"),
-    ]
-    for text, match in cases:
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ContractViolationError, match=match):
-            load_checkpoint(path)
-
-
-def corrupt_checkpoint(tmp_path, edit):
-    """Save a fresh parameter set after ``edit(groups)`` changed it in place."""
-    params = init_params(3, 5, 2, seed=11)
-    edit({g: params.group(g) for g in ("theta", "theta_g", "theta_h")})
-    path = tmp_path / "bad.ckpt"
-    save_checkpoint(params, path)
-    return path
-
-
-def test_checkpoint_rejects_missing_tensor(tmp_path):
-    path = corrupt_checkpoint(tmp_path, lambda g: g["theta"].pop("b2"))
-    with pytest.raises(ContractViolationError, match=r"theta\.b2"):
-        load_checkpoint(path)
-    path = corrupt_checkpoint(tmp_path, lambda g: g["theta_h"].pop("w"))
-    with pytest.raises(ContractViolationError, match=r"theta_h\.w"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_bias_that_is_not_one_row(tmp_path):
-    def edit(groups):
-        groups["theta_g"]["b"] = np.zeros((2, 5))
-    with pytest.raises(ContractViolationError, match=r"theta_g\.b"):
-        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
-
-
-def test_checkpoint_rejects_widths_that_do_not_chain(tmp_path):
-    def edit(groups):
-        groups["theta"]["w2"] = np.zeros((63, 64))
-    with pytest.raises(ContractViolationError, match=r"theta\.w2"):
-        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
-
-
-def test_checkpoint_rejects_head_input_width(tmp_path):
-    def edit(groups):
-        groups["theta_h"]["w"] = np.zeros((31, 2))
-    with pytest.raises(ContractViolationError, match=r"theta_h\.w"):
-        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
-
-
-def test_checkpoint_rejects_unexpected_tensor(tmp_path):
-    def edit(groups):
-        groups["theta"]["w4"] = np.zeros((32, 32))
-    with pytest.raises(ContractViolationError, match=r"theta\.w4"):
-        load_checkpoint(corrupt_checkpoint(tmp_path, edit))
 
 
 def test_predict_proba_heads_have_right_widths():

@@ -8,12 +8,13 @@ import pytest
 
 from probadapt import model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from probadapt.config import parse_config
-from probadapt.errors import MissingClassError
+from probadapt.config import MODES, parse_config
+from probadapt.errors import ConfigError, MissingClassError
 from probadapt.model import init_params
 from probadapt.trainer import TrainReport
-from probadapt.runner import (EPOCHS_HEADER, read_epochs_csv, read_grid_summary,
-                              read_summary, run_experiment, run_grid, summary_metrics)
+from probadapt.runner import EPOCHS_HEADER, read_grid_summary, run_experiment, run_grid
+
+from report_files import read_epochs_csv, read_summary, summary_metrics
 
 FAST = """
 generator.input_dim = 4
@@ -113,10 +114,9 @@ def test_grid_penalty_axis_five_points(tmp_path):
 
 
 def test_grid_components_six_rows(tmp_path):
-    cfg = fast_cfg("mode = ablation_components\n", tmp_path=tmp_path)
-    rec = run_experiment(cfg)
-    assert len(rec.summary["points"]) == 6
-    grid_csv = (rec.out_dir / "components" / "grid_summary.csv").read_text().splitlines()
+    records = run_grid(fast_cfg(tmp_path=tmp_path), "components")
+    assert len(records) == 6
+    grid_csv = (tmp_path / "out" / "components" / "grid_summary.csv").read_text().splitlines()
     assert grid_csv[0] == "point,status,final_target_accuracy"
     assert len(grid_csv) == 7
 
@@ -200,17 +200,52 @@ def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkey
         run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
 
 
-def test_grid_aggregate_status_precedence():
-    def aggregate(*statuses):
-        records = [runner.RunRecord(mode="uda", seed=1, config_hash="h", status=status,
-                                    out_dir=Path("p"), summary={"grid_point": f"p{k}"})
-                   for k, status in enumerate(statuses)]
-        return runner._grid_aggregate(fast_cfg(), records).status
+# Every point of the other axes trains as a uda run, and every point of
+# pda_threshold as a pda run, so a grid from any other mode would lose it.
+REFUSED_GRIDS = [(mode, axis) for mode in ("baseline", "pda", "fig1") for axis in runner.GRID_AXES
+                 if (mode, axis) != ("pda", "pda_threshold")]
 
-    assert aggregate("complete", "complete") == "complete"
-    assert aggregate("complete", "collapsed") == "collapsed"
-    assert aggregate("collapsed", "incomplete") == "incomplete"
-    assert aggregate("failed", "collapsed", "complete") == "incomplete"
+
+@pytest.mark.parametrize("mode,axis", REFUSED_GRIDS)
+def test_grid_refuses_a_mode_its_points_would_override(tmp_path, mode, axis):
+    with pytest.raises(ConfigError, match="mode"):
+        run_grid(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path), axis)
+    assert not (tmp_path / "out").exists()
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(FAST + f"mode = {mode}\noutputs = {tmp_path / 'cli'}\n")
+    assert main(["grid", str(cfg_path), "--axis", axis]) == EXIT_CONFIG
+    assert not (tmp_path / "cli").exists()
+
+
+def test_grid_pda_threshold_from_a_pda_config(tmp_path):
+    # Each point sets mode and threshold, so a pda base writes what a uda base
+    # does. Both grids write to the same place, so their config hashes agree.
+    def grid_files(mode):
+        records = run_grid(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path), "pda_threshold")
+        assert [r.mode for r in records] == ["pda"] * len(runner.PDA_THRESHOLD_SWEEP)
+        files = {path: path.read_bytes() for path in (tmp_path / "out").rglob("*")
+                 if path.is_file()}
+        assert len(files) == 1 + 2 * sum(r.status != "failed" for r in records)
+        return [r.status for r in records], files
+
+    assert grid_files("pda") == grid_files("uda")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_records_the_config_mode(tmp_path, mode):
+    rec = run_experiment(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path))
+    assert rec.mode == mode
+    assert rec.summary["mode"] == mode
+    assert read_summary(rec.out_dir / "summary.json")["mode"] == mode
+
+
+def test_ablation_mode_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="mode"):
+        fast_cfg("mode = ablation_components\n")
+    cfg_path = tmp_path / "ablation.cfg"
+    cfg_path.write_text(FAST + f"mode = ablation_components\noutputs = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
