@@ -125,7 +125,13 @@ def _integer(value) -> int:
 def _real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError("a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise TypeError("a finite number")
+    return value
 
 
 def _string(value) -> str:
@@ -142,11 +148,11 @@ def _boolean(value) -> bool:
 
 def _reals(value) -> tuple[float, ...]:
     if not isinstance(value, (tuple, list)):
-        raise TypeError("a sequence of numbers")
+        raise TypeError("a sequence of finite numbers")
     try:
         return tuple(_real(v) for v in value)
     except TypeError:
-        raise TypeError("a sequence of numbers") from None
+        raise TypeError("a sequence of finite numbers") from None
 
 
 def _optional(as_type):
@@ -155,6 +161,7 @@ def _optional(as_type):
 
 # Schema parser -> the check that a programmatic value has the parser's
 # result type, returning it as the parser would (TypeError naming the type).
+# Every float must be finite: a parsed "nan" or "inf" is refused here too.
 _AS_PARSED = {
     int: _integer,
     float: _real,

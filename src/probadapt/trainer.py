@@ -2,8 +2,11 @@
 partial-set extension.
 
 Each step computes three losses on one tape and backpropagates them
-separately, each into one flat gradient per group it reached. The graph alone
-decides which parameter groups each loss reaches:
+separately, each into one flat gradient per group it reached. A loss whose
+amplitude (``lambda1``, ``lambda2_a`` or ``lambda3_a``) is zero weighs zero at
+every step, so it is not backpropagated and reaches no group; its value is
+still checked and reported. The graph alone decides which parameter groups
+each loss reaches:
 
 * extractor        <- classification + alignment (and the target penalty
                       only when ``cgi_updates_backbone`` is set)
@@ -106,7 +109,8 @@ def pda_class_mask(counts: np.ndarray, threshold: int) -> np.ndarray:
 
 @dataclass
 class StepComputation:
-    """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`."""
+    """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`;
+    a loss with a zero amplitude is not backpropagated, and its entry is ``{}``."""
 
     losses: dict[str, float]
     grads: dict[str, dict[str, np.ndarray]]
@@ -115,7 +119,8 @@ class StepComputation:
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
                           x_t: np.ndarray, prototype: np.ndarray, config: ExperimentConfig,
                           class_mask: np.ndarray | None = None) -> StepComputation:
-    """Forward all heads once and backpropagate each loss separately.
+    """Forward all heads once and backpropagate each loss of nonzero amplitude
+    separately.
 
     ``class_mask`` is the partial-set 0/1 class row; when given it multiplies
     the task head's target probabilities before every consumer (pseudo-label
@@ -154,8 +159,12 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         if not np.isfinite(val):
             raise TrainingDivergedError(f"loss {name} became non-finite")
 
-    grads = {name: group_gradients(ad.backward(node), leaves)
-             for name, node in (("cls", l_cls), ("cpa", l_cpa), ("cgi", l_cgi))}
+    # A loss whose amplitude is zero has weight zero at every step, which
+    # descend drops, so it is not backpropagated: it reaches no group.
+    grads = {name: group_gradients(ad.backward(node), leaves) if amplitude != 0.0 else {}
+             for name, node, amplitude in (("cls", l_cls, config.lambda1),
+                                           ("cpa", l_cpa, config.lambda2_a),
+                                           ("cgi", l_cgi, config.lambda3_a))}
     tape.nodes.clear()
     return StepComputation(losses=values, grads=grads)
 
@@ -169,7 +178,9 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
 
     One :func:`model.descend` call weighs the losses' group gradients by
     lambda1..3 and steps the task head at ``head_lr_multiplier`` times the
-    rate; a non-finite gradient in any group leaves all three unchanged.
+    rate; a non-finite gradient in any group leaves all three unchanged. A
+    loss with a zero amplitude is not backpropagated (its ``grads`` entry is
+    ``{}``), so it steps no group, as its zero weight would ensure anyway.
     """
     eta = lr_schedule(config.eta0, config.tau, config.upsilon, iteration)
     progress = iteration / max(1, total_iterations)

@@ -1,0 +1,60 @@
+"""The pair runner's summary, on canned ``perfbench/run.py`` results."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "adapt_samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(wall_s, samples, failed=0, attempted=6):
+    return {"returncode": 0, "error": "no error output",
+            "result": {"correct": failed == 0, "attempted": attempted, "failed": failed,
+                       "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                                   "adapt_samples_per_s": {"value": samples, "unit": "1/s"}}}}
+
+
+def line_of(lines, name):
+    return next(line for line in lines if line.startswith(name))
+
+
+def test_summary_counts_wins_ties_and_losses_by_direction():
+    tool = load_tool()
+    pairs = [(run(3.0, 100.0), run(2.0, 120.0)),   # change wins both
+             (run(2.5, 110.0), run(2.5, 110.0)),   # ties count for neither
+             (run(2.0, 130.0), run(2.2, 125.0)),   # change loses both
+             (run(4.0, 90.0), run(3.0, 95.0, failed=1))]
+    lines, clean = tool.summarize(METRICS, pairs)
+    assert clean
+    assert lines[0] == "4 pairs"
+    assert line_of(lines, "wall_s").endswith("change wins 2, ties 1, losses 1 of 4")
+    assert line_of(lines, "adapt_samples_per_s").endswith("change wins 2, ties 1, losses 1 of 4")
+    # wall_s, parent 2.0, 2.5, 3.0, 4.0 and change 2.0, 2.2, 2.5, 3.0: inclusive
+    # quartiles 2.375, 2.75, 3.25 and 2.15, 2.35, 2.625
+    assert ("parent 2.75 [2.375, 3.25]  change 2.35 [2.15, 2.625]  "
+            "gap -0.4 vs parent IQR 0.875") in line_of(lines, "wall_s")
+    assert "parent: failed 0 of 24 pipeline runs" in lines
+    assert "change: failed 1 of 24 pipeline runs" in lines
+
+
+def test_summary_lists_a_failed_run_and_scores_only_complete_pairs():
+    tool = load_tool()
+    crashed = {"returncode": 1, "result": None, "error": "perfbench: no repetition completed"}
+    pairs = [(run(3.0, 100.0), run(2.0, 120.0)), (run(3.0, 100.0), crashed)]
+    lines, clean = tool.summarize(METRICS, pairs)
+    assert not clean
+    assert line_of(lines, "wall_s").endswith("change wins 1, ties 0, losses 0 of 1")
+    assert "pair 1 change exited 1: perfbench: no repetition completed" in lines
+    assert "change: failed 0 of 6 pipeline runs" in lines
+    lines, clean = tool.summarize(METRICS, [(crashed, crashed)])
+    assert not clean
+    assert "wall_s: no pair gave a result" in lines

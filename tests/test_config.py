@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from probadapt import config as config_module
 from probadapt.config import (SCHEMA, ExperimentConfig, config_hash, parse_config,
                               serialize_config)
 from probadapt.errors import ConfigError
@@ -131,6 +132,40 @@ def test_wrongly_typed_value_names_key(values, key):
         ExperimentConfig(**values)
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         replace(ExperimentConfig(), **values)
+
+
+FLOAT_KEYS = [key for key, (_, parser, _) in SCHEMA.items()
+              if parser in (float, config_module._parse_optional_float)]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nonfinite_float_names_key(key, text):
+    attr = SCHEMA[key][0]
+    match = key.replace(".", r"\.")
+    with pytest.raises(ConfigError, match=match):
+        parse_config(f"{key} = {text}\n")
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(**{attr: float(text)})
+    with pytest.raises(ConfigError, match=match):
+        replace(ExperimentConfig(), **{attr: float(text)})
+
+
+def test_nonfinite_translation_element_names_key():
+    match = r"generator\.translation"
+    with pytest.raises(ConfigError, match=match):
+        parse_config("generator.translation = 0,0,0,nan,0,0\n")
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(translation=(0.0, 0.0, 0.0, 0.0, 0.0, math.inf))
+    with pytest.raises(ConfigError, match=match):
+        replace(ExperimentConfig(), translation=(-math.inf, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def test_int_beyond_float_range_names_key():
+    with pytest.raises(ConfigError, match=r"schedule\.tau"):
+        ExperimentConfig(tau=10 ** 400)
+    with pytest.raises(ConfigError, match=r"schedule\.tau"):
+        parse_config("schedule.tau = 1e400\n")
 
 
 def test_int_for_float_key_stored_as_parsed():

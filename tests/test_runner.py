@@ -248,6 +248,20 @@ def test_ablation_mode_is_refused(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", ["generator.rotation = nan", "schedule.eta0 = inf",
+                                  "schedule.lambda2_a = inf",
+                                  "generator.translation = 0,0,0,-inf"])
+def test_cli_run_refuses_a_nonfinite_value(tmp_path, capsys, line):
+    # Refused before anything is written, not trained into a non-finite loss.
+    key = line.split(" = ")[0]
+    base = "".join(f"{entry}\n" for entry in FAST.splitlines() if not entry.startswith(key))
+    cfg_path = tmp_path / "nonfinite.cfg"
+    cfg_path.write_text(base + f"{line}\noutputs = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import weakref
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from probadapt import autodiff as ad
-from probadapt import trainer
+from probadapt import runner, trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import GeneratorSpec, Shift, UdaPair, UnlabeledDataset, make_uda_pair
@@ -79,6 +80,8 @@ def test_gradient_routing_default():
     assert {"theta", "theta_g"} <= cpa_groups
     cls_groups = set(comp.grads["cls"])
     assert "theta_g" not in cls_groups
+    assert (cls_groups, cpa_groups, cgi_groups) == (
+        {"theta", "theta_h"}, {"theta", "theta_g"}, {"theta_h"})
 
 
 def test_step_backward_returns_parameter_gradients_only(monkeypatch):
@@ -99,6 +102,55 @@ def test_step_backward_returns_parameter_gradients_only(monkeypatch):
     step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
     assert [len(grads) for grads in returned] == [8, 8, 2]
     assert all(leaf.op == "leaf" for grads in returned for leaf in grads)
+
+
+AMPLITUDES = {"cls": "lambda1", "cpa": "lambda2_a", "cgi": "lambda3_a"}
+
+
+@pytest.mark.parametrize("point, config, passes", [
+    *((name, cfg, passes) for (name, cfg), passes in
+      zip(runner._grid_points(ExperimentConfig(), "components"), (1, 2, 2, 3, 2, 3))),
+    ("baseline", ExperimentConfig(lambda2_a=0.0, lambda3_a=0.0), 1),
+    ("no_cls", ExperimentConfig(lambda1=0.0), 2),
+])
+def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, point,
+                                                                   config, passes):
+    # A zero amplitude weighs its loss at zero on every step, so the loss is
+    # still computed and reported but not backpropagated: it reaches no group.
+    calls = []
+    original = ad.backward
+
+    def recording(node):
+        calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(ad, "backward", recording)
+    params, x_s, y_s, x_t, m = tiny_setup()
+    comp = step_losses_and_grads(params, x_s, y_s, x_t, m, config)
+    assert len(calls) == passes
+    assert set(comp.losses) == set(AMPLITUDES)
+    assert all(np.isfinite(value) for value in comp.losses.values())
+    for loss, key in AMPLITUDES.items():
+        assert (comp.grads[loss] == {}) == (getattr(config, key) == 0.0)
+
+
+@pytest.mark.parametrize("key", ["lambda2_a", "lambda3_a"])
+def test_first_step_ignores_the_amplitude(key):
+    # lambda2 = lambda3 = 0 at iteration 0 whatever the amplitude, so a step
+    # that skips the loss's backward and one that weighs it at zero agree bit
+    # for bit. A first step at iteration 5 gives every group a velocity.
+    params, x_s, y_s, x_t, m = tiny_setup(seed=5)
+    states = fresh_states(ExperimentConfig())
+    train_step(params, states, x_s, y_s, x_t, m, ExperimentConfig(), 5, 10)
+    results = []
+    for amplitude in (0.0, 1.0):
+        stepped, stepped_states = params.copy(), copy.deepcopy(states)
+        record = train_step(stepped, stepped_states, x_s, y_s, x_t, m,
+                            replace(ExperimentConfig(), **{key: amplitude}), 0, 10)
+        results.append((record, [(stepped.group(g).flat.tobytes(),
+                                  stepped_states[g].velocity.tobytes())
+                                 for g in ("theta", "theta_g", "theta_h")]))
+    assert results[0] == results[1]
 
 
 def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
