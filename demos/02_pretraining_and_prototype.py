@@ -14,15 +14,14 @@ from probadapt.model import (heldout_accuracy, learn_prototype, predict_proba,
                              pretrain, split_source)
 
 cfg = ExperimentConfig()
-spec = cfg.generator_spec()
 
-task = make_pretrain_task(spec)
-print(f"pretraining on {len(task.train)} samples, {spec.pretrain_classes} clusters")
+task = make_pretrain_task(cfg)
+print(f"pretraining on {len(task.train)} samples, {cfg.pretrain_classes} clusters")
 params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
                   cfg.seed, batch_size=cfg.batch_size)
 print(f"held-out accuracy: {heldout_accuracy(params, task):.3f}")
 
-pair = make_uda_pair(spec)
+pair = make_uda_pair(cfg)
 proto_half, train_half = split_source(pair.source, cfg.seed)
 print(f"source split: {len(proto_half)} prototype / {len(train_half)} training samples")
 

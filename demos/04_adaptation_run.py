@@ -13,11 +13,10 @@ from probadapt.model import pretrain
 from probadapt.trainer import train
 
 cfg = ExperimentConfig()
-spec = cfg.generator_spec()
-task = make_pretrain_task(spec)
+task = make_pretrain_task(cfg)
 params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
                   cfg.seed, batch_size=cfg.batch_size)
-pair = make_uda_pair(spec)
+pair = make_uda_pair(cfg)
 
 variants = {
     "baseline (classification only)": (0.0, 0.0),

@@ -22,11 +22,10 @@ print(f"identical distributions  -> {proxy_a_distance(same[:200], same[200:], se
 print(f"far-separated clusters   -> {proxy_a_distance(same[:200], far, seed=0):.3f}")
 
 cfg = ExperimentConfig()
-spec = cfg.generator_spec()
-task = make_pretrain_task(spec)
+task = make_pretrain_task(cfg)
 params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
                   cfg.seed, batch_size=cfg.batch_size)
-pair = make_uda_pair(spec)
+pair = make_uda_pair(cfg)
 
 distances = fig1_analog(params, pair.source, pair.target, cfg.seed)
 print(f"\nshifted pair, feature space gap:     {distances['feature_distance']:.3f}")
@@ -34,8 +33,8 @@ print(f"shifted pair, probability space gap: {distances['probability_distance']:
 print("probability space smaller:", distances['probability_distance'] < distances['feature_distance'])
 
 zero = ExperimentConfig(rotation=0.0, noise_scale=0.0)
-zpair = make_uda_pair(zero.generator_spec())
-ztask = make_pretrain_task(zero.generator_spec())
+zpair = make_uda_pair(zero)
+ztask = make_pretrain_task(zero)
 zparams = pretrain(ztask, zero.task_classes, zero.pretrain_epochs, zero.pretrain_lr,
                    zero.seed, batch_size=zero.batch_size)
 zd = fig1_analog(zparams, zpair.source, zpair.target, zero.seed)

@@ -9,9 +9,8 @@ runs are bit-reproducible from a single seed.
 
 from .autodiff import EPS, Tape, Tensor, backward, finite_difference_check
 from .config import ExperimentConfig, config_hash, parse_config, serialize_config
-from .data import (DomainDataset, GeneratorSpec, PretrainTask, Shift, UdaPair,
-                   UnlabeledDataset, accuracy, make_pretrain_task, make_uda_pair,
-                   proxy_a_distance)
+from .data import (DomainDataset, PretrainTask, UdaPair, UnlabeledDataset, accuracy,
+                   make_pretrain_task, make_uda_pair, proxy_a_distance)
 from .errors import (ConfigError, ContractViolationError, DomainError,
                      MissingClassError, TrainingDivergedError)
 from .losses import (CgiState, beta_factor, calibration_matrix,

@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .data import GeneratorSpec, Shift
+from .data import PROBE_MIN_SAMPLES
 from .errors import ConfigError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 
@@ -83,14 +83,13 @@ class ExperimentConfig:
         if self.translation and len(self.translation) != self.input_dim:
             raise ConfigError(
                 "key 'generator.translation': length must equal generator.input_dim")
-
-    def generator_spec(self) -> GeneratorSpec:
-        return GeneratorSpec(
-            input_dim=self.input_dim, pretrain_classes=self.pretrain_classes,
-            task_classes=self.task_classes, samples_per_class=self.samples_per_class,
-            shift=Shift(rotation=self.rotation, translation=self.translation,
-                        noise_scale=self.noise_scale),
-            seed=self.seed, target_class_count=self.target_class_count)
+        # Every run probes the domain gap between source and target; the
+        # target is the smaller domain.
+        target_samples = (self.target_class_count or self.task_classes) * self.samples_per_class
+        if target_samples < PROBE_MIN_SAMPLES:
+            raise ConfigError(
+                f"key 'generator.samples_per_class': the target domain holds {target_samples} "
+                f"samples, the domain-gap probe needs at least {PROBE_MIN_SAMPLES}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -193,7 +192,8 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
     "generator.input_dim": ("input_dim", int, lambda v: v >= 2),
     "generator.pretrain_classes": ("pretrain_classes", int, lambda v: v >= 2),
     "generator.task_classes": ("task_classes", int, lambda v: v >= 2),
-    "generator.samples_per_class": ("samples_per_class", int, lambda v: v >= 1),
+    # two per class: the source splits into a prototype half and a training half
+    "generator.samples_per_class": ("samples_per_class", int, lambda v: v >= 2),
     "generator.rotation": ("rotation", float, None),
     "generator.translation": ("translation", _parse_floats, None),
     "generator.noise_scale": ("noise_scale", float, lambda v: v >= 0),

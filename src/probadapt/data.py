@@ -1,64 +1,33 @@
 """Synthetic pretrain / adaptation tasks, accuracy, and the domain-gap probe.
 
-The generators are pure functions of (spec, seed): Gaussian class clusters
-with unit-scale centers stand in for a large pretraining corpus, and the
+The generators read the generator keys of an :class:`ExperimentConfig`
+(``seed`` and the ``generator.*`` keys) and nothing else, so two configs that
+agree on those keys generate identical arrays. Gaussian class clusters with
+unit-scale centers stand in for a large pretraining corpus, and the
 adaptation pair reuses the first few pretrain clusters so the pretrained
 head's probability space carries real class-relationship signal. The target
-domain is the source distribution pushed through a rotation plus translation,
-with fresh Gaussian noise added on top.
+domain is the source distribution rotated in the first two input dims,
+translated, and given fresh Gaussian noise. ``noise_scale`` doubles as the
+within-class sampling std of every cluster, so a zero-noise, zero-rotation,
+zero-translation config collapses both domains onto identical class centers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .seeding import rng_for
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
-@dataclass(frozen=True)
-class Shift:
-    """Target-domain shift: rotate in the first two input dims, translate, add noise.
-
-    ``noise_scale`` doubles as the within-class sampling std of every cluster,
-    so a zero-noise, zero-rotation, zero-translation shift collapses both
-    domains onto identical class centers.
-    """
-
-    rotation: float = 0.0
-    translation: tuple[float, ...] = ()
-    noise_scale: float = 0.32
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    input_dim: int = 6
-    pretrain_classes: int = 16
-    task_classes: int = 4
-    samples_per_class: int = 50
-    shift: Shift = field(default_factory=Shift)
-    seed: int = 0
-    # When set, the target domain only contains the first N task classes
-    # (partial-set adaptation fixtures). None means all task classes.
-    target_class_count: int | None = None
-
-    def __post_init__(self):
-        if self.task_classes > self.pretrain_classes:
-            raise ContractViolationError("task_classes must not exceed pretrain_classes")
-        if self.input_dim < 2:
-            raise ContractViolationError("input_dim must be at least 2 (rotation plane)")
-        if self.shift.noise_scale < 0:
-            raise ContractViolationError("noise_scale must be non-negative")
-        if self.samples_per_class < 1:
-            raise ContractViolationError("samples_per_class must be positive")
-        if self.target_class_count is not None and not (
-                1 <= self.target_class_count <= self.task_classes):
-            raise ContractViolationError("target_class_count out of range")
-        if self.shift.translation and len(self.shift.translation) != self.input_dim:
-            raise ContractViolationError("translation length must equal input_dim")
+# The fewest rows per domain the domain-gap probe accepts.
+PROBE_MIN_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -115,9 +84,9 @@ class UdaPair:
     eval_labels: np.ndarray
 
 
-def _centers(spec: GeneratorSpec) -> np.ndarray:
-    rng = rng_for(spec.seed, "data/centers")
-    return rng.normal(0.0, 1.0, size=(spec.pretrain_classes, spec.input_dim))
+def _centers(cfg: ExperimentConfig) -> np.ndarray:
+    rng = rng_for(cfg.seed, "data/centers")
+    return rng.normal(0.0, 1.0, size=(cfg.pretrain_classes, cfg.input_dim))
 
 
 def _sample_classes(centers: np.ndarray, classes: np.ndarray, per_class: int,
@@ -130,55 +99,58 @@ def _sample_classes(centers: np.ndarray, classes: np.ndarray, per_class: int,
     return np.vstack(xs), np.concatenate(ys)
 
 
-def make_pretrain_task(spec: GeneratorSpec) -> PretrainTask:
+def make_pretrain_task(cfg: ExperimentConfig) -> PretrainTask:
     """Gaussian clusters for all pretrain classes, split train / held-out.
 
     The train split holds ``samples_per_class`` per class; the held-out split
     holds ``ceil(samples_per_class / 5)`` per class, drawn independently.
     """
-    centers = _centers(spec)
-    classes = np.arange(spec.pretrain_classes)
-    std = spec.shift.noise_scale
-    x_tr, y_tr = _sample_classes(centers, classes, spec.samples_per_class, std,
-                                 rng_for(spec.seed, "data/pretrain_train"))
-    x_ho, y_ho = _sample_classes(centers, classes, max(1, math.ceil(spec.samples_per_class / 5)),
-                                 std, rng_for(spec.seed, "data/pretrain_heldout"))
-    c2 = spec.pretrain_classes
+    centers = _centers(cfg)
+    classes = np.arange(cfg.pretrain_classes)
+    std = cfg.noise_scale
+    x_tr, y_tr = _sample_classes(centers, classes, cfg.samples_per_class, std,
+                                 rng_for(cfg.seed, "data/pretrain_train"))
+    x_ho, y_ho = _sample_classes(centers, classes, math.ceil(cfg.samples_per_class / 5),
+                                 std, rng_for(cfg.seed, "data/pretrain_heldout"))
+    c2 = cfg.pretrain_classes
     return PretrainTask(
         train=DomainDataset(x_tr, y_tr, "pretrain", c2),
         heldout=DomainDataset(x_ho, y_ho, "pretrain", c2),
     )
 
 
-def _apply_shift(x: np.ndarray, shift: Shift, rng: np.random.Generator) -> np.ndarray:
+def _apply_shift(x: np.ndarray, cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     out = x.copy()
-    if shift.rotation != 0.0:
-        c, s = math.cos(shift.rotation), math.sin(shift.rotation)
+    if cfg.rotation != 0.0:
+        c, s = math.cos(cfg.rotation), math.sin(cfg.rotation)
         x0, x1 = out[:, 0].copy(), out[:, 1].copy()
         out[:, 0] = c * x0 - s * x1
         out[:, 1] = s * x0 + c * x1
-    if shift.translation:
-        out = out + np.asarray(shift.translation, dtype=np.float64)
-    if shift.noise_scale > 0:
-        out = out + shift.noise_scale * rng.normal(0.0, 1.0, size=out.shape)
+    if cfg.translation:
+        out = out + np.asarray(cfg.translation, dtype=np.float64)
+    if cfg.noise_scale > 0:
+        out = out + cfg.noise_scale * rng.normal(0.0, 1.0, size=out.shape)
     return out
 
 
-def make_uda_pair(spec: GeneratorSpec) -> UdaPair:
-    """Labeled source plus shifted unlabeled target over the first task classes."""
-    centers = _centers(spec)
-    std = spec.shift.noise_scale
-    src_classes = np.arange(spec.task_classes)
-    x_s, y_s = _sample_classes(centers, src_classes, spec.samples_per_class, std,
-                               rng_for(spec.seed, "data/source"))
-    tgt_count = spec.target_class_count if spec.target_class_count is not None else spec.task_classes
-    tgt_classes = np.arange(tgt_count)
-    x_t, y_t = _sample_classes(centers, tgt_classes, spec.samples_per_class, std,
-                               rng_for(spec.seed, "data/target"))
-    x_t = _apply_shift(x_t, spec.shift, rng_for(spec.seed, "data/target_noise"))
+def make_uda_pair(cfg: ExperimentConfig) -> UdaPair:
+    """Labeled source plus shifted unlabeled target over the first task classes.
+
+    The target holds the first ``target_class_count`` classes, or all of
+    them when it is None (partial-set adaptation).
+    """
+    centers = _centers(cfg)
+    std = cfg.noise_scale
+    src_classes = np.arange(cfg.task_classes)
+    x_s, y_s = _sample_classes(centers, src_classes, cfg.samples_per_class, std,
+                               rng_for(cfg.seed, "data/source"))
+    tgt_classes = np.arange(cfg.target_class_count or cfg.task_classes)
+    x_t, y_t = _sample_classes(centers, tgt_classes, cfg.samples_per_class, std,
+                               rng_for(cfg.seed, "data/target"))
+    x_t = _apply_shift(x_t, cfg, rng_for(cfg.seed, "data/target_noise"))
     return UdaPair(
-        source=DomainDataset(x_s, y_s, "source", spec.task_classes),
-        target=UnlabeledDataset(x_t, "target", spec.task_classes),
+        source=DomainDataset(x_s, y_s, "source", cfg.task_classes),
+        target=UnlabeledDataset(x_t, "target", cfg.task_classes),
         eval_labels=y_t,
     )
 
@@ -239,8 +211,8 @@ def proxy_a_distance(space_s: np.ndarray, space_t: np.ndarray, seed: int) -> flo
     space_t = np.asarray(space_t, dtype=np.float64)
     if space_s.shape[1] != space_t.shape[1]:
         raise ContractViolationError("domain matrices must share a width")
-    if len(space_s) < 10 or len(space_t) < 10:
-        raise ContractViolationError("need at least 10 samples per domain")
+    if len(space_s) < PROBE_MIN_SAMPLES or len(space_t) < PROBE_MIN_SAMPLES:
+        raise ContractViolationError(f"need at least {PROBE_MIN_SAMPLES} samples per domain")
 
     def halves(x):
         # keyed by size, not argument position, so swapping the two domains

@@ -167,14 +167,10 @@ class CgiState:
 
 
 def cgi_state(p_h_values: np.ndarray, p_g_values: np.ndarray, prototype: np.ndarray,
-              beta_variant: str = "exp_neg_kl",
-              beta_override: np.ndarray | None = None) -> CgiState:
+              beta_variant: str = "exp_neg_kl") -> CgiState:
     p_h_values = np.atleast_2d(np.asarray(p_h_values, dtype=np.float64))
     p_tilde = transform_probability(p_g_values, prototype)
-    if beta_override is not None:
-        beta = np.asarray(beta_override, dtype=np.float64).reshape(-1, 1)
-    else:
-        beta = beta_values(beta_variant, p_h_values, p_tilde)
+    beta = beta_values(beta_variant, p_h_values, p_tilde)
     return CgiState(p_tilde=p_tilde, beta=beta, p_mixed=0.5 * (p_tilde + p_h_values))
 
 
@@ -220,8 +216,7 @@ def target_penalty_loss(p_h_t, state: CgiState | None, penalty: str = "CGI") -> 
 
 
 def cgi_loss(p_h_t, p_g_t_values: np.ndarray, prototype: np.ndarray,
-             beta_variant: str = "exp_neg_kl",
-             beta_override: np.ndarray | None = None) -> tuple[Tensor, CgiState]:
+             beta_variant: str = "exp_neg_kl") -> tuple[Tensor, CgiState]:
     """Calibrated Gini impurity over a target batch.
 
     ``p_h_t`` may be a taped tensor (training) or an array; ``p_g_t_values``
@@ -230,7 +225,7 @@ def cgi_loss(p_h_t, p_g_t_values: np.ndarray, prototype: np.ndarray,
     detached state behind it.
     """
     p = _ensure_tensor(p_h_t)
-    state = cgi_state(p.value, p_g_t_values, prototype, beta_variant, beta_override)
+    state = cgi_state(p.value, p_g_t_values, prototype, beta_variant)
     return target_penalty_loss(p, state, "CGI"), state
 
 

@@ -138,6 +138,8 @@ def head_forward(head: dict[str, np.ndarray], features: np.ndarray) -> np.ndarra
 
 def predict_proba(params: ParamGroups, head: str, x: np.ndarray) -> np.ndarray:
     """Probabilities of ``head`` ("task" or "pretrained") on raw inputs."""
+    if head not in ("task", "pretrained"):
+        raise ContractViolationError(f"unknown head {head!r}; expected 'task' or 'pretrained'")
     feats = feature_extract(params.theta, x)
     group = params.theta_h if head == "task" else params.theta_g
     return head_forward(group, feats)

@@ -85,7 +85,7 @@ def write_summary(path: Path, summary: dict) -> None:
 
 
 def _pretrained_model(cfg: ExperimentConfig):
-    task = make_pretrain_task(cfg.generator_spec())
+    task = make_pretrain_task(cfg)
     params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
                       cfg.seed, batch_size=cfg.batch_size,
                       momentum=cfg.momentum, weight_decay=cfg.weight_decay)
@@ -134,7 +134,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
 
     try:
         params, pretrain_acc = _pretrained_model(cfg)
-        pair = make_uda_pair(cfg.generator_spec())
+        pair = make_uda_pair(cfg)
         if cfg.mode == "fig1":
             distances = fig1_analog(params, pair.source, pair.target, cfg.seed)
             summary = {

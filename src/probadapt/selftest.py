@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,8 +53,8 @@ def _check_cgi_degenerates(rng):
     g = _random_probs(rng, 5, 6)
     m = _random_probs(rng, 3, 6)
     m = m / m.sum(axis=1, keepdims=True)
-    loss, _ = losses.cgi_loss(p, g, m, beta_override=np.ones(5))
-    return loss.item() == losses.gini_impurity(p)
+    state = replace(losses.cgi_state(p, g, m), beta=np.ones((5, 1)))
+    return losses.target_penalty_loss(p, state, "CGI").item() == losses.gini_impurity(p)
 
 
 def _check_gradients(rng):

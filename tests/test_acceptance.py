@@ -38,11 +38,10 @@ DEFAULT = ExperimentConfig()
 
 
 def default_pretrained():
-    spec = DEFAULT.generator_spec()
-    task = make_pretrain_task(spec)
+    task = make_pretrain_task(DEFAULT)
     params = pretrain(task, DEFAULT.task_classes, DEFAULT.pretrain_epochs,
                       DEFAULT.pretrain_lr, DEFAULT.seed, batch_size=DEFAULT.batch_size)
-    return params, make_uda_pair(spec)
+    return params, make_uda_pair(DEFAULT)
 
 
 def test_c01_gradient_oracle_three_losses():
@@ -139,8 +138,8 @@ def test_c04_cgi_degenerates_to_gini_bitwise():
         p = rand_probs(rng, n, c1)
         g = rand_probs(rng, n, c2)
         m = rand_prototype(rng, c1, c2)
-        loss, _ = L.cgi_loss(p, g, m, beta_override=np.ones(n))
-        assert loss.item() == L.gini_impurity(p)
+        state = replace(L.cgi_state(p, g, m), beta=np.ones((n, 1)))
+        assert L.target_penalty_loss(p, state, "CGI").item() == L.gini_impurity(p)
     print("\n[PASS] criterion 4: CGI with beta=1 equals Gini impurity bit-for-bit")
 
 
@@ -219,11 +218,10 @@ def test_c08_pda_consistency(tmp_path):
     # partial-set pair (first half of the classes) with a calibrated threshold
     sub = replace(DEFAULT, target_class_count=math.ceil(DEFAULT.task_classes / 2),
                   noise_scale=0.45)
-    spec = sub.generator_spec()
-    task = make_pretrain_task(spec)
+    task = make_pretrain_task(sub)
     params = pretrain(task, sub.task_classes, sub.pretrain_epochs, sub.pretrain_lr,
                       sub.seed, batch_size=sub.batch_size)
-    pair = make_uda_pair(spec)
+    pair = make_uda_pair(sub)
     rep_uda, _ = train(params, pair, sub)
     rep_pda, _ = train(params, pair, replace(sub, mode="pda", pda_threshold=10))
     assert rep_pda.final_target_accuracy >= rep_uda.final_target_accuracy

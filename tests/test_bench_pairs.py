@@ -34,7 +34,10 @@ def test_summary_counts_wins_ties_and_losses_by_direction():
              (run(2.0, 130.0), run(2.2, 125.0)),   # change loses both
              (run(4.0, 90.0), run(3.0, 95.0, failed=1))]
     lines, clean = tool.summarize(METRICS, pairs)
-    assert clean
+    # the fourth pair's change run exited 0 with a failed check
+    assert not clean
+    assert "pair 3 change not correct: failed 1 of 6" in lines
+    assert not any("parent not correct" in line for line in lines)
     assert lines[0] == "4 pairs"
     assert line_of(lines, "wall_s").endswith("change wins 2, ties 1, losses 1 of 4")
     assert line_of(lines, "adapt_samples_per_s").endswith("change wins 2, ties 1, losses 1 of 4")

@@ -8,6 +8,7 @@ import pytest
 from probadapt import config as config_module
 from probadapt.config import (SCHEMA, ExperimentConfig, config_hash, parse_config,
                               serialize_config)
+from probadapt.data import PROBE_MIN_SAMPLES, make_uda_pair
 from probadapt.errors import ConfigError
 
 
@@ -45,6 +46,8 @@ def test_constraint_violation_named():
         parse_config("mode = dance")
     with pytest.raises(ConfigError, match="task_classes"):
         parse_config("generator.pretrain_classes = 4\ngenerator.task_classes = 8")
+    with pytest.raises(ConfigError, match=r"generator\.noise_scale"):
+        parse_config("generator.noise_scale = -1.0")
 
 
 def test_duplicate_key_rejected():
@@ -90,8 +93,40 @@ def test_translation_length_checked():
 
 def test_defaults_build_valid_components():
     cfg = ExperimentConfig()
-    spec = cfg.generator_spec()
-    assert spec.task_classes <= spec.pretrain_classes
+    pair = make_uda_pair(cfg)
+    assert pair.source.class_count == cfg.task_classes <= cfg.pretrain_classes
+    assert len(pair.target) >= PROBE_MIN_SAMPLES
+
+
+# Sample counts the pipeline cannot run: one sample per class cannot be split
+# into a prototype half and a training half, and a target domain below the
+# probe's minimum cannot be probed.
+TOO_FEW_SAMPLES = [
+    {"samples_per_class": 1},
+    {"samples_per_class": 2},
+    {"samples_per_class": 5, "target_class_count": 1},
+]
+
+
+def as_document(values):
+    return "".join(f"generator.{attr} = {value}\n" for attr, value in values.items())
+
+
+@pytest.mark.parametrize("values", TOO_FEW_SAMPLES)
+def test_too_few_samples_names_key(values):
+    match = r"generator\.samples_per_class"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(as_document(values))
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(**values)
+    with pytest.raises(ConfigError, match=match):
+        replace(ExperimentConfig(), **values)
+
+
+def test_fewest_runnable_samples_accepted():
+    assert ExperimentConfig(samples_per_class=3).samples_per_class == 3
+    assert ExperimentConfig(samples_per_class=10, target_class_count=1).target_class_count == 1
+    assert PROBE_MIN_SAMPLES == 10
 
 
 def test_construction_validates_every_key():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,8 +486,8 @@ def test_cgi_beta_one_is_gini_bit_for_bit():
         p = rand_probs(rng, n, c1)
         g = rand_probs(rng, n, c2)
         m = rand_prototype(rng, c1, c2)
-        loss, _ = L.cgi_loss(p, g, m, beta_override=np.ones(n))
-        assert loss.item() == L.gini_impurity(p)
+        state = replace(L.cgi_state(p, g, m), beta=np.ones((n, 1)))
+        assert L.target_penalty_loss(p, state, "CGI").item() == L.gini_impurity(p)
 
 
 def test_cgi_equal_distributions_give_gini():

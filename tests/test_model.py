@@ -10,7 +10,7 @@ from probadapt import autodiff as ad
 from probadapt import model, trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig
-from probadapt.data import GeneratorSpec, Shift, make_pretrain_task
+from probadapt.data import make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from probadapt.model import (feature_extract, head_forward, init_params,
                              heldout_accuracy, learn_prototype, predict_proba, pretrain,
@@ -77,9 +77,9 @@ def test_param_groups_are_disjoint_objects():
     assert len(ids) == len(params.theta) + len(params.theta_g) + len(params.theta_h)
 
 
-def pretrain_spec(c2=4, spc=40, noise=0.1, seed=5):
-    return GeneratorSpec(input_dim=4, pretrain_classes=c2, task_classes=2,
-                         samples_per_class=spc, shift=Shift(noise_scale=noise), seed=seed)
+def pretrain_cfg(c2=4, spc=40, noise=0.1, seed=5):
+    return ExperimentConfig(input_dim=4, pretrain_classes=c2, task_classes=2,
+                            samples_per_class=spc, rotation=0.0, noise_scale=noise, seed=seed)
 
 
 def test_group_gradients_fill_unreached_tensors_and_skip_unreached_groups():
@@ -107,7 +107,7 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
     monkeypatch.setattr(model, "descend", counting)
     monkeypatch.setattr(trainer, "descend", counting)
     monkeypatch.setattr(trainer, "train_step", None)  # pretraining must not step through it
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     params = pretrain(task, **PRETRAIN_ARGS)
     batches = PRETRAIN_ARGS["epochs"] * math.ceil(len(task.train.inputs) / 32)
     assert calls == [["theta", "theta_g"]] * batches
@@ -125,7 +125,7 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
 
 
 def test_pretrain_separable_blobs_accuracy():
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     params = pretrain(task, task_classes=2, epochs=20, lr=0.05, seed=5)
     assert heldout_accuracy(params, task) > 0.95
 
@@ -133,7 +133,7 @@ def test_pretrain_separable_blobs_accuracy():
 def test_pretrain_zero_epochs_chance_level():
     # diffuse clusters so an untrained head scores near chance rather than
     # quantising whole blobs into single classes
-    task = make_pretrain_task(pretrain_spec(noise=1.5))
+    task = make_pretrain_task(pretrain_cfg(noise=1.5))
     params = pretrain(task, task_classes=2, epochs=0, lr=0.05, seed=5)
     assert abs(heldout_accuracy(params, task) - 0.25) <= 0.15
 
@@ -164,7 +164,7 @@ def assert_same_bits(a, b):
 
 
 def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     a = pretrain(task, **PRETRAIN_ARGS)
     monkeypatch.setattr(model, "_pretrain_memo", None)
     b = pretrain(task, **PRETRAIN_ARGS)
@@ -178,19 +178,19 @@ def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
 
 
 def test_pretrain_memo_hit_equals_fresh_training(trainings):
-    first = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    first = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
     # an equal task built anew: the memo compares content, not identity
-    hit = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    hit = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
     assert len(trainings) == 1
     model._pretrain_memo = None
-    fresh = pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    fresh = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
     assert len(trainings) == 2
     assert_same_bits(hit, fresh)
     assert_same_bits(first, fresh)
 
 
 def test_pretrain_memo_survives_mutated_results(trainings):
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     first = pretrain(task, **PRETRAIN_ARGS)
     reference = first.copy()
     first.theta["w1"] *= 2.0
@@ -221,7 +221,7 @@ def assert_named_tensors_view_the_flat_buffers(params):
 def test_named_tensors_view_the_flat_buffers(trainings):
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11))
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11).copy())
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     pretrain(task, **PRETRAIN_ARGS)
     hit = pretrain(task, **PRETRAIN_ARGS)
     assert len(trainings) == 1
@@ -249,7 +249,7 @@ ARG_VARIANTS = dict(task_classes=3, epochs=4, lr=0.04, seed=6, batch_size=16, mo
 @pytest.mark.parametrize("field", ["inputs", "inputs_dtype", "labels", "labels_dtype",
                                    "class_count", *ARG_VARIANTS])
 def test_pretrain_memo_misses_when_any_key_field_changes(trainings, field):
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     pretrain(task, **PRETRAIN_ARGS)
     if field in ARG_VARIANTS:
         pretrain(task, **dict(PRETRAIN_ARGS, **{field: ARG_VARIANTS[field]}))
@@ -263,14 +263,14 @@ def test_pretrain_memo_misses_when_any_key_field_changes(trainings, field):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_divergence_carries_epoch():
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     with pytest.raises(TrainingDivergedError, match="epoch"):
         pretrain(task, task_classes=2, epochs=5, lr=1e308, seed=5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_divergence_is_never_stored(trainings):
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     good = pretrain(task, **PRETRAIN_ARGS)
     for attempt in range(2):
         with pytest.raises(TrainingDivergedError, match="epoch"):
@@ -289,7 +289,7 @@ def test_pretraining_step_records_one_node_per_layer(trainings, monkeypatch):
         return original_backward(output)
 
     monkeypatch.setattr(ad, "backward", counting_backward)
-    pretrain(make_pretrain_task(pretrain_spec()), **PRETRAIN_ARGS)
+    pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
     # 8 parameter leaves, the input batch, 4 dense layers, 3 cross-entropy nodes
     assert recorded and set(recorded) == {16}
 
@@ -304,7 +304,7 @@ def test_pretraining_and_prediction_tapes_freed_without_cycle_collector(training
             tapes.append(weakref.ref(self))
 
     monkeypatch.setattr(model, "Tape", WatchedTape)
-    task = make_pretrain_task(pretrain_spec())
+    task = make_pretrain_task(pretrain_cfg())
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -392,3 +392,12 @@ def test_predict_proba_heads_have_right_widths():
     x = rng_for(0, "test/x").normal(size=(4, 3))
     assert predict_proba(params, "pretrained", x).shape == (4, 5)
     assert predict_proba(params, "task", x).shape == (4, 2)
+
+
+@pytest.mark.parametrize("head", ["tsak", "Task", "theta_h", ""])
+def test_predict_proba_rejects_unknown_head(head):
+    # Not served silently by the pretrained head.
+    params = init_params(3, 5, 2, seed=2)
+    x = rng_for(0, "test/x").normal(size=(4, 3))
+    with pytest.raises(ContractViolationError, match=repr(head)):
+        predict_proba(params, head, x)

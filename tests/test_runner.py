@@ -262,6 +262,21 @@ def test_cli_run_refuses_a_nonfinite_value(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines", [
+    "generator.samples_per_class = 1\n",
+    "generator.samples_per_class = 2\n",
+    "generator.samples_per_class = 5\ngenerator.target_class_count = 1\n",
+])
+def test_cli_run_refuses_too_few_samples(tmp_path, capsys, lines):
+    # Refused at parse time: neither pretrained and then stopped in the source
+    # split or the domain-gap probe, nor leaving an empty output directory.
+    cfg_path = tmp_path / "few.cfg"
+    cfg_path.write_text(lines + f"outputs = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "key 'generator.samples_per_class'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

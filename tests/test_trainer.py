@@ -11,7 +11,7 @@ from probadapt import autodiff as ad
 from probadapt import runner, trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
-from probadapt.data import GeneratorSpec, Shift, UdaPair, UnlabeledDataset, make_uda_pair
+from probadapt.data import UdaPair, UnlabeledDataset, make_uda_pair
 from probadapt.errors import ConfigError, ContractViolationError, TrainingDivergedError
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
@@ -407,11 +407,10 @@ def pretrained_and_pair(cfg):
     from probadapt.data import make_pretrain_task
     from probadapt.model import pretrain
 
-    spec = cfg.generator_spec()
-    task = make_pretrain_task(spec)
+    task = make_pretrain_task(cfg)
     params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
                       cfg.seed, batch_size=cfg.batch_size)
-    return params, make_uda_pair(spec)
+    return params, make_uda_pair(cfg)
 
 
 def test_train_deterministic_reports():
@@ -472,7 +471,7 @@ def test_train_keeps_prototype_half_out_of_batches():
 
 def test_unlabeled_dataset_has_no_label_accessor():
     cfg = fast_cfg()
-    pair = make_uda_pair(cfg.generator_spec())
+    pair = make_uda_pair(cfg)
     assert not hasattr(pair.target, "labels")
     assert isinstance(pair.target, UnlabeledDataset)
 

@@ -13,8 +13,10 @@ gives each side's median and quartiles, the gap between the medians against
 the parent's interquartile range, and the change's wins, ties and losses over
 the pairs in which both runs gave a result, by the metric's ``better``
 direction; a tie counts for neither. It then gives each side's ``failed`` out
-of ``attempted`` pipeline runs and lists every run that exited nonzero. The
-exit status is 1 if any run did. Standard library only.
+of ``attempted`` pipeline runs, lists every run that exited nonzero, and lists
+every run whose result reads ``"correct": false`` (a pin, status or
+byte-identity check failed), with its ``failed`` count. The exit status is 1 if
+any run is listed. Standard library only.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list[str], bool]:
-    """Summary lines for ``(parent run, change run)`` pairs, and whether every run exited 0.
+    """Summary lines for ``(parent run, change run)`` pairs, and whether every run
+    exited 0 with a correct result.
 
     ``metrics`` are BENCHMARK.json's ``end_to_end`` entries; a run is a
     :func:`run_once` result.
@@ -89,6 +92,10 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list
             if run["returncode"] != 0:
                 clean = False
                 lines.append(f"pair {number} {side} exited {run['returncode']}: {run['error']}")
+            elif run["result"] is not None and not run["result"]["correct"]:
+                clean = False
+                lines.append(f"pair {number} {side} not correct: failed "
+                             f"{run['result']['failed']} of {run['result']['attempted']}")
     return lines, clean
 
 
