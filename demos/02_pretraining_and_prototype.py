@@ -18,7 +18,8 @@ cfg = ExperimentConfig()
 task = make_pretrain_task(cfg)
 print(f"pretraining on {len(task.train)} samples, {cfg.pretrain_classes} clusters")
 params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                  cfg.seed, batch_size=cfg.batch_size)
+                  cfg.seed, batch_size=cfg.batch_size,
+                  momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 print(f"held-out accuracy: {heldout_accuracy(params, task):.3f}")
 
 pair = make_uda_pair(cfg)

@@ -8,6 +8,7 @@ calibration factor, and the closed form of the penalty gradient.
 import numpy as np
 
 from probadapt import losses as L
+from probadapt.autodiff import Tape
 
 # --- calibration weights ---------------------------------------------------
 y_s = L.one_hot(np.array([0, 0, 2]), 3)
@@ -43,7 +44,9 @@ beta = np.array([L.beta_factor(p_tilde[j], p_h[j]) for j in range(2)])
 print("calibration factors:", beta)
 
 # --- the calibrated penalty and its gradient ---------------------------------
-loss, state = L.cgi_loss(p_h, p_g_t, prototype)
+# The penalty is a graph builder: p_h enters it as a taped leaf.
+state = L.cgi_state(p_h, p_g_t, prototype)
+loss = L.target_penalty_loss(Tape().leaf(p_h), state, "CGI")
 print(f"\ncalibrated Gini penalty: {loss.item():.6f}")
 print(f"plain Gini would be:     {L.gini_impurity(p_h):.6f}")
 

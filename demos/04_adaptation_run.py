@@ -15,7 +15,8 @@ from probadapt.trainer import train
 cfg = ExperimentConfig()
 task = make_pretrain_task(cfg)
 params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                  cfg.seed, batch_size=cfg.batch_size)
+                  cfg.seed, batch_size=cfg.batch_size,
+                  momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 pair = make_uda_pair(cfg)
 
 variants = {

@@ -11,10 +11,10 @@ from .autodiff import EPS, Tape, Tensor, backward, finite_difference_check
 from .config import ExperimentConfig, config_hash, parse_config, serialize_config
 from .data import (DomainDataset, PretrainTask, UdaPair, UnlabeledDataset, accuracy,
                    make_pretrain_task, make_uda_pair, proxy_a_distance)
-from .errors import (ConfigError, ContractViolationError, DomainError,
+from .errors import (ConfigError, ContractViolationError, DomainError, EmptyPartialSetError,
                      MissingClassError, TrainingDivergedError)
 from .losses import (CgiState, beta_factor, calibration_matrix,
-                     cgi_gradient_reference, cgi_loss, classification_loss, cpa_loss,
+                     cgi_gradient_reference, classification_loss, cpa_loss,
                      gini_impurity, js_divergence, pair_distance, prototype_regularizer,
                      pseudo_labels, source_weights, target_weights, transform_probability)
 from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,

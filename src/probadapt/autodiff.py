@@ -22,9 +22,11 @@ same order, through helpers it shares with the composite's primitives, so
 values and gradients equal the composite's bit for bit.
 
 Inputs enter a tape as leaves, which :func:`backward` differentiates, or as
-constants, which it never does. The primitives matmul, add, mul and dense
-note at build time which operands are constants, and their VJPs return None
-for those instead of computing a product nobody reads.
+plain arrays, which are detached: matmul, add, mul and dense take each
+operand as a Tensor or an array, read an array operand in place, record no
+node for it and compute no VJP product for it, so an array must not change
+while its tape is in use. A detached copy of a tensor is its ``value``. Every
+primitive needs at least one Tensor operand, so it always returns a Tensor.
 
 Most primitives allocate their result and keep the arrays their VJP reads.
 :func:`pair_entropy` is the exception because its (P, c) pair arrays are the
@@ -61,9 +63,10 @@ def as_matrix(value) -> np.ndarray:
 class Tensor:
     """A 2-D value recorded on a tape.
 
-    Leaves and constants are created through :meth:`Tape.leaf` and
-    :meth:`Tape.constant`; every other tensor is the output of a primitive and
-    carries a vector-Jacobian product closure used by :func:`backward`.
+    Leaves are created through :meth:`Tape.leaf`; every other tensor is the
+    output of a primitive, keeps its operands (Tensors or detached arrays) in
+    ``inputs`` and carries a vector-Jacobian product closure used by
+    :func:`backward`, which returns None for an array operand.
     """
 
     __slots__ = ("value", "tape", "index", "op", "inputs", "vjp")
@@ -96,6 +99,9 @@ class Tensor:
 class Tape:
     """Ordered record of primitive applications for one computation.
 
+    Inputs enter a tape as leaves (:meth:`leaf`) or as plain arrays passed to
+    a primitive, which stay detached and are never recorded.
+
     Every recorded :class:`Tensor` refers back to its tape, so a tape and its
     nodes form a reference cycle. A caller done with a tape, after its last
     :func:`backward` or a forward-only evaluation, clears ``nodes``; the
@@ -114,26 +120,10 @@ class Tape:
         """Record a differentiable input, such as a parameter.
 
         :func:`backward` returns a gradient for every leaf that feeds its
-        output. The value is copied, so later changes to ``value`` do not
-        reach the tape.
+        output. The value is copied, so the in-place parameter updates that
+        follow a :func:`backward` do not reach the tape.
         """
         return Tensor(as_matrix(value).copy(), self, "leaf")
-
-    def constant(self, value) -> Tensor:
-        """Record a detached input: an input batch, a target or a calibration
-        quantity that must not be trained.
-
-        :func:`backward` never accumulates a gradient into a constant and
-        never returns one for it, and matmul, add, mul and dense compute no
-        VJP product for a constant operand, so a constant costs no VJP work.
-        Recording a detached copy of a tensor's value with
-        ``tape.constant(t.value)`` stops every gradient at that point, so none
-        can flow through it into upstream parameters. A large operand that
-        never needs a gradient can instead be a plain array argument of a
-        primitive, as :func:`pair_entropy`'s and :func:`weighted_log_rows`'s
-        weights are.
-        """
-        return Tensor(as_matrix(value).copy(), self, "constant")
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -142,6 +132,19 @@ def _same_tape(*tensors: Tensor) -> Tape:
         if t.tape is not tape:
             raise ContractViolationError("operands recorded on different tapes")
     return tape
+
+
+def _tape_of(*operands) -> Tape:
+    """The tape of the Tensor operands; array operands are detached and need none."""
+    tensors = [x for x in operands if isinstance(x, Tensor)]
+    if not tensors:
+        raise ContractViolationError("a primitive needs at least one Tensor operand")
+    return _same_tape(*tensors)
+
+
+def _value(x) -> np.ndarray:
+    """A Tensor's value, or an array operand itself (no copy for a 2-D float64 array)."""
+    return x.value if isinstance(x, Tensor) else as_matrix(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -204,10 +207,10 @@ _ACTIVATIONS = {"relu": (_relu_value, _relu_vjp),
                 "row_softmax": (_softmax_value, _softmax_vjp)}
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    av, bv = a.value, b.value
-    need_a, need_b = a.op != "constant", b.op != "constant"
+def matmul(a, b) -> Tensor:
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return _matmul_vjp(g, av, bv, need_a, need_b)
@@ -215,20 +218,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(_matmul_value(av, bv), tape, "matmul", (a, b), vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a, b) -> Tensor:
     """Elementwise addition with numpy broadcasting.
 
     Covers the bias-add case (1 x c row broadcast over a batch) as well as
     same-shape addition.
     """
-    tape = _same_tape(a, b)
-    ash, bsh = a.shape, b.shape
-    need_a, need_b = a.op != "constant", b.op != "constant"
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    ash, bsh = av.shape, bv.shape
+    need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return _add_vjp(g, ash, bsh, need_a, need_b)
 
-    return Tensor(_add_value(a.value, b.value), tape, "add_bias", (a, b), vjp)
+    return Tensor(_add_value(av, bv), tape, "add_bias", (a, b), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -252,25 +256,25 @@ def row_softmax(x: Tensor) -> Tensor:
     return Tensor(s, x.tape, "row_softmax", (x,), vjp)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+def dense(x, w, b, activation: str) -> Tensor:
     """``activation(x @ w + b)`` in one node; ``activation`` is "relu" or
     "row_softmax".
 
     Forward and VJP run the numpy operations of the composite
     ``activation(add(matmul(x, w), b))`` in the same order, through the
     helpers those primitives use, so value and gradients equal it bit for
-    bit. As in matmul and add, a constant operand gets no VJP product.
+    bit. As in matmul and add, an array operand gets no VJP product.
     """
     if activation not in _ACTIVATIONS:
         raise ContractViolationError(f"unknown dense activation {activation!r}")
     act_value, act_vjp = _ACTIVATIONS[activation]
-    tape = _same_tape(x, w, b)
-    xv, wv = x.value, w.value
+    tape = _tape_of(x, w, b)
+    xv, wv, bv = _value(x), _value(w), _value(b)
     xw = _matmul_value(xv, wv)
-    z = _add_value(xw, b.value)
+    z = _add_value(xw, bv)
     value = act_value(z)
-    xwsh, bsh = xw.shape, b.shape
-    need_x, need_w, need_b = (t.op != "constant" for t in (x, w, b))
+    xwsh, bsh = xw.shape, bv.shape
+    need_x, need_w, need_b = (isinstance(t, Tensor) for t in (x, w, b))
 
     def vjp(g):
         g_xw, g_b = _add_vjp(act_vjp(g, z, value), xwsh, bsh, True, need_b)
@@ -290,14 +294,15 @@ def log(x: Tensor) -> Tensor:
     return Tensor(np.log(xv), x.tape, "elementwise_log", (x,), vjp)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
+def mul(a, b) -> Tensor:
+    tape = _tape_of(a, b)
+    av, bv = _value(a), _value(b)
+    ash, bsh = av.shape, bv.shape
     try:
-        value = a.value * b.value
+        value = av * bv
     except ValueError as exc:
-        raise ContractViolationError(f"mul shapes {a.shape} * {b.shape}: {exc}") from exc
-    av, bv, ash, bsh = a.value, b.value, a.shape, b.shape
-    need_a, need_b = a.op != "constant", b.op != "constant"
+        raise ContractViolationError(f"mul shapes {ash} * {bsh}: {exc}") from exc
+    need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return ((_unbroadcast(g * bv, ash) if need_a else None),
@@ -467,13 +472,13 @@ def weighted_log_rows(weights, p: Tensor) -> Tensor:
     """Per-row sum of ``weights * log(max(p, EPS))``, shape (n, 1), in one node.
 
     Forward and VJP run the numpy operations of the composite
-    ``row_sum(mul(tape.constant(weights), log(clamp_floor(p))))`` in the same
-    order, so value and gradient equal it bit for bit. ``weights`` is a
-    plain array of ``p``'s shape, copied as :meth:`Tape.constant` copies, and
-    no gradient is computed for it. The clamp keeps every log argument at or
-    above EPS, so no input raises the DomainError :func:`log` guards against.
+    ``row_sum(mul(weights, log(clamp_floor(p))))`` in the same order, so value
+    and gradient equal it bit for bit. ``weights`` is a plain array of ``p``'s
+    shape, read in place as every array operand is, and no gradient is
+    computed for it. The clamp keeps every log argument at or above EPS, so no
+    input raises the DomainError :func:`log` guards against.
     """
-    w = np.array(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != p.shape:
         raise ContractViolationError(
             f"weighted_log_rows weights shape {w.shape} != operand shape {p.shape}")
@@ -492,8 +497,8 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
 
     ``output`` must be scalar (1x1). Returns a mapping from leaf tensors to
     their gradients; leaves with no path to the output are absent (their
-    gradient is identically zero). Constants (:meth:`Tape.constant`) never
-    receive a gradient, so they are never in the mapping.
+    gradient is identically zero). Array operands are detached: no
+    gradient is computed for them, so the mapping holds Tensors only.
     """
     if output.value.shape != (1, 1):
         raise ContractViolationError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -509,7 +514,7 @@ def backward(output: Tensor) -> dict[Tensor, np.ndarray]:
             leaf_grads[node] = g
             continue
         for parent, pg in zip(node.inputs, node.vjp(g)):
-            if pg is None or parent.op == "constant":
+            if pg is None:
                 continue
             acc = grads.get(parent.index)
             grads[parent.index] = pg if acc is None else acc + pg

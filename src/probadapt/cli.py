@@ -6,10 +6,10 @@ Subcommands:
   fig1 <config>            domain-gap comparison (mode forced to fig1)
   selftest                 built-in invariant checks
 
-Exit codes: 0 success, 2 configuration error, 3 a run that diverged
-(status "incomplete") or collapsed onto one class (status "collapsed"), or a
-grid point that failed with one of the package's errors (status "failed"),
-1 selftest failure.
+Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
+partial-set mask kept no class (status "incomplete") or that collapsed onto
+one class (status "collapsed"), or a grid point that failed with one of the
+package's errors (status "failed"), 1 selftest failure.
 """
 
 from __future__ import annotations

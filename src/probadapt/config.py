@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'generator.samples_per_class': the target domain holds {target_samples} "
                 f"samples, the domain-gap probe needs at least {PROBE_MIN_SAMPLES}")
+        # No class can be predicted for more target samples than there are.
+        if self.mode == "pda" and self.pda_threshold > target_samples:
+            raise ConfigError(
+                f"key 'train.pda_threshold': {self.pda_threshold} exceeds the "
+                f"{target_samples} target samples, so every class would fall below it")
 
 
 def _parse_bool(text: str) -> bool:

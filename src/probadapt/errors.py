@@ -21,5 +21,9 @@ class TrainingDivergedError(ProbadaptError, RuntimeError):
     """A loss or gradient became non-finite during optimisation."""
 
 
+class EmptyPartialSetError(ProbadaptError, RuntimeError):
+    """Every class fell below the partial-set threshold during a pda run."""
+
+
 class ConfigError(ProbadaptError, ValueError):
     """An experiment configuration document failed validation."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS, Tape, Tensor
+from .autodiff import EPS, Tensor
 from .errors import ContractViolationError
 
 BETA_VARIANTS = ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl")
@@ -174,12 +174,6 @@ def cgi_state(p_h_values: np.ndarray, p_g_values: np.ndarray, prototype: np.ndar
     return CgiState(p_tilde=p_tilde, beta=beta, p_mixed=0.5 * (p_tilde + p_h_values))
 
 
-def _ensure_tensor(x, tape: Tape | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return (tape or Tape()).leaf(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-
-
 def _gini_rows(p: Tensor) -> Tensor:
     return ad.scalar_affine(ad.row_sum(ad.mul(p, p)), -1.0, 1.0)
 
@@ -188,45 +182,28 @@ def _entropy_rows(p: Tensor) -> Tensor:
     return ad.scalar_affine(ad.row_sum(ad.mul(p, ad.log(ad.clamp_floor(p)))), -1.0, 0.0)
 
 
-def target_penalty_loss(p_h_t, state: CgiState | None, penalty: str = "CGI") -> Tensor:
+def target_penalty_loss(p_h_t: Tensor, state: CgiState | None, penalty: str = "CGI") -> Tensor:
     """Scalar penalty on target predictions, summed over the batch.
 
     GE / GI are the plain entropy / Gini penalties. The calibrated variants
     scale the per-sample penalty by the factor beta and, except for the
     no-regulariser form, add (1 - beta) times the penalty of the mixed
-    distribution 0.5 * (p_tilde + p_h). Everything in ``state`` is a constant
-    with respect to gradients.
+    distribution 0.5 * (p_tilde + p_h). Everything in ``state`` enters the
+    tape as a detached array, so it receives no gradient.
     """
     if penalty not in PENALTY_VARIANTS:
         raise ContractViolationError(f"unknown penalty variant {penalty!r}")
-    p = _ensure_tensor(p_h_t)
     rows_fn = _entropy_rows if penalty in ("GE", "CGE") else _gini_rows
     if penalty in ("GE", "GI"):
-        return ad.col_sum(rows_fn(p))
+        return ad.col_sum(rows_fn(p_h_t))
     if state is None:
         raise ContractViolationError(f"{penalty} needs a CgiState")
-    tape = p.tape
-    beta = tape.constant(state.beta)
-    scaled = ad.mul(beta, rows_fn(p))
+    scaled = ad.mul(state.beta, rows_fn(p_h_t))
     if penalty == "CGI_noreg":
         return ad.col_sum(scaled)
-    p_m = ad.add(ad.scalar_affine(p, 0.5, 0.0), tape.constant(0.5 * state.p_tilde))
-    mixed = ad.mul(tape.constant(1.0 - state.beta), rows_fn(p_m))
+    p_m = ad.add(ad.scalar_affine(p_h_t, 0.5, 0.0), 0.5 * state.p_tilde)
+    mixed = ad.mul(1.0 - state.beta, rows_fn(p_m))
     return ad.col_sum(ad.add(scaled, mixed))
-
-
-def cgi_loss(p_h_t, p_g_t_values: np.ndarray, prototype: np.ndarray,
-             beta_variant: str = "exp_neg_kl") -> tuple[Tensor, CgiState]:
-    """Calibrated Gini impurity over a target batch.
-
-    ``p_h_t`` may be a taped tensor (training) or an array; ``p_g_t_values``
-    must be detached values since the transformed probabilities and the
-    calibration factor never carry gradient. Returns the scalar loss and the
-    detached state behind it.
-    """
-    p = _ensure_tensor(p_h_t)
-    state = cgi_state(p.value, p_g_t_values, prototype, beta_variant)
-    return target_penalty_loss(p, state, "CGI"), state
 
 
 def cgi_gradient_reference(p_h_t: np.ndarray, p_tilde: np.ndarray,
@@ -243,23 +220,22 @@ def cgi_gradient_reference(p_h_t: np.ndarray, p_tilde: np.ndarray,
     return -(2.0 * b * p + (1.0 - b) * p_m)
 
 
-def prototype_regularizer(p_g_s, labels: np.ndarray, prototype: np.ndarray) -> Tensor:
+def prototype_regularizer(p_g_s: Tensor, labels: np.ndarray, prototype: np.ndarray) -> Tensor:
     """Sum over source samples of KL(prototype row of its class || p_g row).
 
     Anchors the source side of the alignment to the learned class centers so
     the pairwise term cannot collapse both domains onto an average.
     """
-    p = _ensure_tensor(p_g_s)
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= prototype.shape[0]:
         raise ContractViolationError("label out of range for the prototype")
     m_rows = clamp_probs(prototype)[labels]
     const_term = float(np.sum(m_rows * np.log(m_rows)))
-    cross = ad.col_sum(ad.weighted_log_rows(m_rows, p))
+    cross = ad.col_sum(ad.weighted_log_rows(m_rows, p_g_s))
     return ad.scalar_affine(cross, -1.0, const_term)
 
 
-def cpa_pairwise(p_g_s, p_g_t, alpha_st: np.ndarray) -> Tensor:
+def cpa_pairwise(p_g_s: Tensor, p_g_t: Tensor, alpha_st: np.ndarray) -> Tensor:
     """Coefficient-weighted sum of pair distances between all source/target rows.
 
     Equals sum_ij alpha[i, j] * pair_distance(p_g_s[i], p_g_t[j]), evaluated by
@@ -269,26 +245,22 @@ def cpa_pairwise(p_g_s, p_g_t, alpha_st: np.ndarray) -> Tensor:
     time and memory are O(n_s * n_t + P * c) with P the number of same-class
     pairs. ``alpha`` receives no gradient.
     """
-    p = _ensure_tensor(p_g_s)
-    q = _ensure_tensor(p_g_t, p.tape)
     alpha = np.asarray(alpha_st, dtype=np.float64)
-    n_s, n_t = p.shape[0], q.shape[0]
+    n_s, n_t = p_g_s.shape[0], p_g_t.shape[0]
     if alpha.shape != (n_s, n_t):
         raise ContractViolationError(f"alpha shape {alpha.shape} != ({n_s}, {n_t})")
-    return ad.pair_entropy(ad.clamp_floor(p), ad.clamp_floor(q), alpha)
+    return ad.pair_entropy(ad.clamp_floor(p_g_s), ad.clamp_floor(p_g_t), alpha)
 
 
-def cpa_loss(p_g_s, p_g_t, alpha_st: np.ndarray, labels: np.ndarray,
+def cpa_loss(p_g_s: Tensor, p_g_t: Tensor, alpha_st: np.ndarray, labels: np.ndarray,
              prototype: np.ndarray) -> Tensor:
     """Calibrated probability alignment: weighted pair distances plus the
     prototype regulariser."""
-    p = _ensure_tensor(p_g_s)
-    q = _ensure_tensor(p_g_t, p.tape)
-    return ad.add(cpa_pairwise(p, q, alpha_st),
-                  prototype_regularizer(p, labels, prototype))
+    return ad.add(cpa_pairwise(p_g_s, p_g_t, alpha_st),
+                  prototype_regularizer(p_g_s, labels, prototype))
 
 
-def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
+def classification_loss(p_h_s: Tensor, labels: np.ndarray, smoothing: float = 0.0,
                         focal_gamma: float | None = None) -> Tensor:
     """Mean cross entropy against smoothed targets, or the focal form.
 
@@ -297,9 +269,8 @@ def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
     -(1 - p_true)^gamma * log(p_true), with the modulating factor carrying
     gradient. ``focal_gamma`` must be 0 or at least 1.
     """
-    p = _ensure_tensor(p_h_s)
     labels = np.asarray(labels)
-    n, c = p.shape
+    n, c = p_h_s.shape
     if len(labels) != n:
         raise ContractViolationError("labels do not match the batch")
     if not (0.0 <= smoothing < 1.0):
@@ -308,11 +279,11 @@ def classification_loss(p_h_s, labels: np.ndarray, smoothing: float = 0.0,
     if focal_gamma is None:
         targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
         targets[np.arange(n), labels] = 1.0 - smoothing
-        return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p), -1.0, 0.0))
+        return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p_h_s), -1.0, 0.0))
     gamma = float(focal_gamma)
     if gamma != 0.0 and gamma < 1.0:
         raise ContractViolationError("focal_gamma must be 0 or >= 1")
-    p_true = ad.row_sum(ad.mul(p.tape.constant(one_hot(labels, c)), p))
+    p_true = ad.row_sum(ad.mul(one_hot(labels, c), p_h_s))
     neg_log = ad.scalar_affine(ad.log(ad.clamp_floor(p_true)), -1.0, 0.0)
     if gamma == 0.0:
         return ad.mean(neg_log)

@@ -71,8 +71,9 @@ def init_params(input_dim: int, pretrain_classes: int, task_classes: int, seed: 
     return ParamGroups(ParamGroup(theta), ParamGroup(theta_g), ParamGroup(theta_h))
 
 
-def feature_graph(theta: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Taped forward through the extractor: relu(x W + b) per layer."""
+def feature_graph(theta: dict[str, Tensor], x) -> Tensor:
+    """Taped forward through the extractor: relu(x W + b) per layer. ``x`` is
+    a Tensor or, for an input batch, a detached array."""
     n_layers = len(theta) // 2
     h = x
     for i in range(1, n_layers + 1):
@@ -80,8 +81,8 @@ def feature_graph(theta: dict[str, Tensor], x: Tensor) -> Tensor:
     return h
 
 
-def head_graph(head: dict[str, Tensor], features: Tensor) -> Tensor:
-    """Taped dense layer + row softmax."""
+def head_graph(head: dict[str, Tensor], features) -> Tensor:
+    """Taped dense layer + row softmax; ``features`` is a Tensor or a detached array."""
     return ad.dense(features, head["w"], head["b"], "row_softmax")
 
 
@@ -119,7 +120,7 @@ def feature_extract(theta: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     if x.shape[1] != expected:
         raise ContractViolationError(f"input width {x.shape[1]} != extractor width {expected}")
     tape = Tape()
-    features = feature_graph(leaves_for(tape, theta), tape.constant(x)).value
+    features = feature_graph(leaves_for(tape, theta), x).value
     tape.nodes.clear()
     return features
 
@@ -131,7 +132,7 @@ def head_forward(head: dict[str, np.ndarray], features: np.ndarray) -> np.ndarra
         raise ContractViolationError(
             f"feature width {features.shape[1]} != head width {head['w'].shape[0]}")
     tape = Tape()
-    probs = head_graph(leaves_for(tape, head), tape.constant(features)).value
+    probs = head_graph(leaves_for(tape, head), features).value
     tape.nodes.clear()
     return probs
 
@@ -149,9 +150,8 @@ def predict_proba(params: ParamGroups, head: str, x: np.ndarray) -> np.ndarray:
 _pretrain_memo: tuple | None = None
 
 
-def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed: int,
-             batch_size: int = 32, momentum: float = 0.9, weight_decay: float = 5e-4,
-             ) -> ParamGroups:
+def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed: int, *,
+             batch_size: int, momentum: float, weight_decay: float) -> ParamGroups:
     """Train the extractor and pretrained head on the cluster task.
 
     Each batch is one backward pass and one :func:`descend` call, as in
@@ -185,7 +185,7 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
             idx = perm[start:start + batch_size]
             tape = Tape()
             leaves = {group: leaves_for(tape, params.group(group)) for group in states}
-            features = feature_graph(leaves["theta"], tape.constant(x[idx]))
+            features = feature_graph(leaves["theta"], x[idx])
             loss = losses.classification_loss(head_graph(leaves["theta_g"], features), y[idx])
             if not np.isfinite(loss.item()):
                 raise TrainingDivergedError(f"pretraining loss non-finite at epoch {epoch}")

@@ -6,7 +6,8 @@ Every run writes two files into its output directory:
   ``epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta``
 * ``summary.json`` with deterministic fields only, so reruns are
   byte-identical; its ``status`` is ``complete``, ``collapsed`` or
-  ``incomplete``
+  ``incomplete`` (training diverged, or a pda run's partial-set mask kept no
+  class)
 
 Files are written atomically (temp file then rename). The environment
 variable ``PROBADAPT_OUTPUT_ROOT`` reroots relative output paths.
@@ -21,7 +22,8 @@ from pathlib import Path
 
 from .config import ExperimentConfig, config_hash
 from .data import make_pretrain_task, make_uda_pair
-from .errors import ConfigError, ContractViolationError, ProbadaptError, TrainingDivergedError
+from .errors import (ConfigError, ContractViolationError, EmptyPartialSetError, ProbadaptError,
+                     TrainingDivergedError)
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import TrainReport, train
 
@@ -122,10 +124,10 @@ def _train_summary(cfg: ExperimentConfig, report: TrainReport, pretrain_acc: flo
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRecord:
     """Execute one mode pipeline and write its report files.
 
-    Divergence produces a record with status "incomplete" instead of
-    raising, and a run whose final target predictions all fall in one class
-    (see :func:`collapsed`) has status "collapsed"; config errors raise
-    before anything is written.
+    Divergence, or a partial-set mask that keeps no class, produces a record
+    with status "incomplete" instead of raising, and a run whose final target
+    predictions all fall in one class (see :func:`collapsed`) has status
+    "collapsed"; config errors raise before anything is written.
     """
     out = resolve_out_dir(cfg) if out_dir is None else out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -159,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
                 summary["pda_threshold"] = cfg.pda_threshold
             record.status = summary["status"]
             record.report = report
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, EmptyPartialSetError) as exc:
         record.status = "incomplete"
         summary = {
             "status": "incomplete",
@@ -202,7 +204,9 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
     The base config's mode must be ``uda``, or ``pda`` on the
     ``pda_threshold`` axis: each point sets its own mode (``uda``, or ``pda``
     on that axis), so any other base mode raises ConfigError before a point
-    runs instead of being silently overridden.
+    runs instead of being silently overridden. Every point is built before
+    the first runs, so a point the config refuses (a threshold above the
+    target's sample count) raises its ConfigError before anything is written.
     A point that raises one of the package's errors is recorded as failed and
     the grid continues; any other exception is a programming error and
     propagates. Writes an aggregated ``grid_summary.csv`` next to the
@@ -213,7 +217,7 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
                           f"pda_threshold axis), not {cfg.mode!r} on {axis!r}")
     records = []
     base = resolve_out_dir(cfg, axis)
-    for name, point_cfg in _grid_points(cfg, axis):
+    for name, point_cfg in list(_grid_points(cfg, axis)):
         out = base / name
         try:
             rec = run_experiment(point_cfg, out_dir=out)

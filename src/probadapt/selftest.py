@@ -54,7 +54,8 @@ def _check_cgi_degenerates(rng):
     m = _random_probs(rng, 3, 6)
     m = m / m.sum(axis=1, keepdims=True)
     state = replace(losses.cgi_state(p, g, m), beta=np.ones((5, 1)))
-    return losses.target_penalty_loss(p, state, "CGI").item() == losses.gini_impurity(p)
+    return (losses.target_penalty_loss(Tape().leaf(p), state, "CGI").item()
+            == losses.gini_impurity(p))
 
 
 def _check_gradients(rng):
@@ -102,7 +103,7 @@ def _check_fused_primitives(rng):
         else:
             h = ad.relu(ad.add(ad.matmul(x, w1), b1))
             s = ad.row_softmax(ad.add(ad.matmul(h, w2), b2))
-            rows = [ad.row_sum(ad.mul(tape.constant(weights), ad.log(ad.clamp_floor(q))))
+            rows = [ad.row_sum(ad.mul(weights, ad.log(ad.clamp_floor(q))))
                     for q in (s, p)]
         out = ad.mean(ad.add(*rows))
         grads = ad.backward(out)

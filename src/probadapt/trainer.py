@@ -39,7 +39,7 @@ from . import losses
 from .autodiff import Tape
 from .config import ExperimentConfig
 from .data import UdaPair, UnlabeledDataset, accuracy
-from .errors import ContractViolationError, TrainingDivergedError
+from .errors import ContractViolationError, EmptyPartialSetError, TrainingDivergedError
 from .model import (ParamGroups, descend, feature_graph, fig1_analog, group_gradients,
                     head_graph, learn_prototype, leaves_for, predict_proba, split_source)
 from .optim import SgdState
@@ -97,13 +97,17 @@ def pda_category_counts(p_h_t_full: np.ndarray) -> np.ndarray:
 
 
 def pda_class_mask(counts: np.ndarray, threshold: int) -> np.ndarray:
-    """0/1 row keeping classes whose predicted count meets the threshold."""
+    """0/1 row keeping classes whose predicted count meets the threshold;
+    EmptyPartialSetError, naming ``train.pda_threshold``, when none does."""
     if threshold < 0:
         raise ContractViolationError("threshold must be non-negative")
-    mask = (np.asarray(counts) >= threshold).astype(np.float64)
+    counts = np.asarray(counts)
+    mask = (counts >= threshold).astype(np.float64)
     if not np.any(mask):
-        raise ContractViolationError(
-            "every class fell below the partial-set threshold; lower the threshold")
+        raise EmptyPartialSetError(
+            f"key 'train.pda_threshold': every class fell below the partial-set threshold "
+            f"{threshold} (the most predicted class has {int(counts.max(initial=0))} "
+            f"target samples); lower the threshold")
     return mask
 
 
@@ -130,17 +134,17 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
     leaves = {g: leaves_for(tape, params.group(g)) for g in ("theta", "theta_g", "theta_h")}
     theta_leaves, g_leaves, h_leaves = leaves.values()
 
-    f_s = feature_graph(theta_leaves, tape.constant(x_s))
-    f_t = feature_graph(theta_leaves, tape.constant(x_t))
+    f_s = feature_graph(theta_leaves, x_s)
+    f_t = feature_graph(theta_leaves, x_t)
     p_h_s = head_graph(h_leaves, f_s)
     p_g_s = head_graph(g_leaves, f_s)
     p_g_t = head_graph(g_leaves, f_t)
     # The penalty reaches the extractor only when explicitly enabled; by
     # default the task head sees detached target features.
-    f_t_for_h = f_t if config.cgi_updates_backbone else tape.constant(f_t.value)
+    f_t_for_h = f_t if config.cgi_updates_backbone else f_t.value
     p_h_t = head_graph(h_leaves, f_t_for_h)
     if class_mask is not None:
-        p_h_t = ad.mul(p_h_t, tape.constant(class_mask.reshape(1, -1)))
+        p_h_t = ad.mul(p_h_t, class_mask.reshape(1, -1))
 
     p_h_t_val = p_h_t.value
     y_tilde = losses.pseudo_labels(p_h_t_val)

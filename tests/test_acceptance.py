@@ -40,7 +40,8 @@ DEFAULT = ExperimentConfig()
 def default_pretrained():
     task = make_pretrain_task(DEFAULT)
     params = pretrain(task, DEFAULT.task_classes, DEFAULT.pretrain_epochs,
-                      DEFAULT.pretrain_lr, DEFAULT.seed, batch_size=DEFAULT.batch_size)
+                      DEFAULT.pretrain_lr, DEFAULT.seed, batch_size=DEFAULT.batch_size,
+                      momentum=DEFAULT.momentum, weight_decay=DEFAULT.weight_decay)
     return params, make_uda_pair(DEFAULT)
 
 
@@ -103,7 +104,8 @@ def test_c02_cpa_form_equivalence():
         p_h_t = L.one_hot(y_t, c1)
         alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
                                      L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
-        got = L.cpa_pairwise(p_s, p_t, alpha).item()
+        tape = Tape()
+        got = L.cpa_pairwise(tape.leaf(p_s), tape.leaf(p_t), alpha).item()
         want = 0.0
         for c in range(c1):
             ms, mt = y_s == c, y_t == c
@@ -139,7 +141,7 @@ def test_c04_cgi_degenerates_to_gini_bitwise():
         g = rand_probs(rng, n, c2)
         m = rand_prototype(rng, c1, c2)
         state = replace(L.cgi_state(p, g, m), beta=np.ones((n, 1)))
-        assert L.target_penalty_loss(p, state, "CGI").item() == L.gini_impurity(p)
+        assert L.target_penalty_loss(Tape().leaf(p), state, "CGI").item() == L.gini_impurity(p)
     print("\n[PASS] criterion 4: CGI with beta=1 equals Gini impurity bit-for-bit")
 
 
@@ -220,7 +222,8 @@ def test_c08_pda_consistency(tmp_path):
                   noise_scale=0.45)
     task = make_pretrain_task(sub)
     params = pretrain(task, sub.task_classes, sub.pretrain_epochs, sub.pretrain_lr,
-                      sub.seed, batch_size=sub.batch_size)
+                      sub.seed, batch_size=sub.batch_size,
+                      momentum=sub.momentum, weight_decay=sub.weight_decay)
     pair = make_uda_pair(sub)
     rep_uda, _ = train(params, pair, sub)
     rep_pda, _ = train(params, pair, replace(sub, mode="pda", pda_threshold=10))

@@ -62,7 +62,7 @@ def test_backward_softmax_pick_first():
     tape = Tape()
     x = tape.leaf([[0.0, 0.0]])
     s = ad.row_softmax(x)
-    picked = ad.row_sum(ad.mul(s, tape.constant([[1.0, 0.0]])))
+    picked = ad.row_sum(ad.mul(s, np.array([[1.0, 0.0]])))
     grads = ad.backward(picked)
     assert np.allclose(grads[x], [[0.25, -0.25]], atol=1e-12)
 
@@ -84,12 +84,52 @@ def test_backward_unused_leaf_absent():
 
 
 def test_backward_never_returns_constants():
+    # a detached array operand gets no gradient; only Tensors are returned
     tape = Tape()
     x = tape.leaf([[1.0, 2.0]])
-    k = tape.constant([[3.0, 4.0]])
+    k = np.array([[3.0, 4.0]])
     grads = ad.backward(ad.col_sum(ad.row_sum(ad.mul(x, k))))
     assert list(grads) == [x]
     assert np.array_equal(grads[x], [[3.0, 4.0]])
+
+
+def array_operand_cases(rng):
+    """(primitive, operands, index of the array operand) for each primitive
+    that takes arrays, with the array in every position it can take."""
+    tape = Tape()
+    x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+    y = rng.normal(size=(4, 2))
+    dense = lambda x, w, b: ad.dense(x, w, b, "relu")
+    return tape, [
+        (ad.matmul, (x, tape.leaf(w)), 0), (ad.matmul, (tape.leaf(x), w), 1),
+        (ad.add, (y, tape.leaf(b)), 0), (ad.add, (tape.leaf(y), b), 1),
+        (ad.mul, (y, tape.leaf(y)), 0), (ad.mul, (tape.leaf(y), b), 1),
+        (dense, (x, tape.leaf(w), tape.leaf(b)), 0),
+        (dense, (tape.leaf(x), w, tape.leaf(b)), 1),
+        (dense, (tape.leaf(x), tape.leaf(w), b), 2),
+    ]
+
+
+def test_array_operands_are_read_in_place_with_no_node_and_no_vjp_product():
+    tape, cases = array_operand_cases(rng_for(8, "test/array-operands"))
+    for primitive, operands, k in cases:
+        before = len(tape.nodes)
+        out = primitive(*operands)
+        assert len(tape.nodes) == before + 1 and tape.nodes[-1] is out
+        assert np.shares_memory(out.inputs[k], operands[k])
+        products = out.vjp(np.ones(out.shape))
+        assert products[k] is None
+        assert all(g is not None for i, g in enumerate(products) if i != k)
+        grads = ad.backward(ad.mean(out))
+        assert set(grads) == {t for t in operands if isinstance(t, ad.Tensor)}
+
+
+def test_primitive_without_a_tensor_operand_is_refused():
+    x, w, b = np.ones((2, 3)), np.ones((3, 2)), np.ones((1, 2))
+    for build in (lambda: ad.matmul(x, w), lambda: ad.add(x, x), lambda: ad.mul(x, x),
+                  lambda: ad.dense(x, w, b, "relu")):
+        with pytest.raises(ContractViolationError, match="Tensor operand"):
+            build()
 
 
 def test_finite_difference_quadratic_is_tight():
@@ -109,7 +149,7 @@ def test_finite_difference_random_graphs():
         bias = rng.normal(size=(1, c))
 
         def build(tape, leaves):
-            h = ad.relu(ad.add(ad.matmul(leaves[0], tape.constant(w)), tape.constant(bias)))
+            h = ad.relu(ad.add(ad.matmul(leaves[0], w), bias))
             s = ad.row_softmax(ad.add(h, leaves[1]))
             t = ad.mul(s, ad.log(ad.clamp_floor(s)))
             return ad.mean(ad.row_sum(t))
@@ -172,7 +212,7 @@ def composite_dense(x, w, b, activation):
 
 
 def composite_weighted_log_rows(weights, p):
-    return ad.row_sum(ad.mul(p.tape.constant(weights), ad.log(ad.clamp_floor(p))))
+    return ad.row_sum(ad.mul(weights, ad.log(ad.clamp_floor(p))))
 
 
 def fused_and_composite(build, values, seed):
@@ -185,7 +225,7 @@ def fused_and_composite(build, values, seed):
         leaves = [tape.leaf(v) for v in values]
         out = build(leaves, fused)
         cotangent = rng_for(seed, "test/fused/cotangent").normal(size=out.shape)
-        loss = ad.col_sum(ad.row_sum(ad.mul(out, tape.constant(cotangent))))
+        loss = ad.col_sum(ad.row_sum(ad.mul(out, cotangent)))
         grads = ad.backward(loss)
         results.append((out.value, [grads[leaf] for leaf in leaves]))
     return results
@@ -251,13 +291,13 @@ def test_weighted_log_rows_equals_composite_bitwise():
 def test_fused_primitives_skip_constant_operands():
     rng = rng_for(6, "test/fused/constant")
     tape = Tape()
-    x = tape.constant(rng.normal(size=(4, 3)))
+    x = rng.normal(size=(4, 3))
     w, b = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(np.zeros((1, 2)))
     for activation in ("relu", "row_softmax"):
         out = ad.dense(x, w, b, activation)
         g_x, g_w, g_b = out.vjp(np.ones(out.shape))
         assert g_x is None and g_w is not None and g_b is not None
-    out = ad.dense(tape.leaf(x.value), w, tape.constant(b.value), "relu")
+    out = ad.dense(tape.leaf(x), w, b.value, "relu")
     g_x, g_w, g_b = out.vjp(np.ones(out.shape))
     assert g_x is not None and g_w is not None and g_b is None
     grads = ad.backward(ad.mean(ad.dense(x, w, b, "relu")))

@@ -61,3 +61,38 @@ def test_summary_lists_a_failed_run_and_scores_only_complete_pairs():
     lines, clean = tool.summarize(METRICS, [(crashed, crashed)])
     assert not clean
     assert "wall_s: no pair gave a result" in lines
+
+
+def verdicts(parent_walls, change_walls):
+    pairs = [(run(p, 100.0), run(c, 100.0)) for p, c in zip(parent_walls, change_walls)]
+    lines, _ = load_tool().summarize(METRICS, pairs)
+    return line_of(lines, "wall_s verdict: "), line_of(lines, "adapt_samples_per_s verdict: ")
+
+
+STEADY = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+
+
+def test_verdict_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
+    faster = [w - 2.0 for w in STEADY]
+    assert verdicts(STEADY, faster)[0] == "wall_s verdict: gain shown"
+    # 8 wins of 10 are too few, whatever the gap
+    assert verdicts(STEADY, faster[:8] + STEADY[8:])[0] == "wall_s verdict: within bound"
+    # 10 wins, but a gap inside the parent's IQR (0.2)
+    assert verdicts(STEADY, [w - 0.05 for w in STEADY])[0] == "wall_s verdict: within bound"
+    # equal samples throughout: every pair ties
+    assert verdicts(STEADY, faster)[1] == "adapt_samples_per_s verdict: within bound"
+
+
+def test_verdict_worse_than_bound_is_relative_to_the_parent_median():
+    assert verdicts(STEADY, [w * 1.2 for w in STEADY])[0] == "wall_s verdict: within bound"
+    assert verdicts(STEADY, [w * 1.3 for w in STEADY])[0] == "wall_s verdict: worse than bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # median 10, IQR 4 against an allowed 2.5
+    wide = [8.0, 12.0] * 5
+    assert verdicts(wide, [10.0] * 10)[0] == "wall_s verdict: unresolved"
+    # unless every change run beats every parent run
+    assert verdicts(wide, [7.5] * 10)[0] == "wall_s verdict: within bound"
+    # a gain beyond the wide IQR is still shown
+    assert verdicts(wide, [5.0] * 10)[0] == "wall_s verdict: gain shown"

@@ -129,6 +129,36 @@ def test_fewest_runnable_samples_accepted():
     assert PROBE_MIN_SAMPLES == 10
 
 
+# pda configs whose threshold no class can reach: above the target's sample
+# count, (target_class_count or task_classes) * samples_per_class.
+UNREACHABLE_THRESHOLDS = [
+    {"mode": "pda", "pda_threshold": 201},
+    {"mode": "pda", "pda_threshold": 1000},
+    {"mode": "pda", "pda_threshold": 51, "target_class_count": 1},
+]
+
+
+@pytest.mark.parametrize("values", UNREACHABLE_THRESHOLDS)
+def test_unreachable_pda_threshold_names_key(values):
+    document = "".join(f"{key} = {values[attr]}\n" for key, (attr, _, _) in SCHEMA.items()
+                       if attr in values)
+    match = r"train\.pda_threshold"
+    with pytest.raises(ConfigError, match=match):
+        parse_config(document)
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(**values)
+    with pytest.raises(ConfigError, match=match):
+        replace(ExperimentConfig(), **values)
+
+
+def test_reachable_pda_threshold_accepted_and_hash_kept():
+    assert ExperimentConfig(mode="pda", pda_threshold=200).pda_threshold == 200
+    assert ExperimentConfig(mode="pda", pda_threshold=50, target_class_count=1).mode == "pda"
+    # outside pda mode the threshold is unused, so it is not checked
+    uda = ExperimentConfig(pda_threshold=1000)
+    assert config_hash(replace(uda, pda_threshold=14)) == config_hash(ExperimentConfig())
+
+
 def test_construction_validates_every_key():
     # A programmatic config and a replace() copy pass the checks a parsed
     # document passes, and the error names the document key.

@@ -20,6 +20,16 @@ def rand_prototype(rng, c1, c2):
     return m / m.sum(axis=1, keepdims=True)
 
 
+def leaves(*values):
+    """Each value as a leaf of one new tape, for the graph builders."""
+    tape = Tape()
+    return [tape.leaf(v) for v in values]
+
+
+def leaf(value):
+    return leaves(value)[0]
+
+
 # ---------------------------------------------------------------- weights
 
 def test_source_weights_single_sample():
@@ -119,14 +129,14 @@ def test_regularizer_zero_at_prototype():
     m = np.array([[0.3, 0.7], [0.6, 0.4]])
     labels = np.array([0, 1, 0])
     p = m[labels]
-    assert L.prototype_regularizer(p, labels, m).item() == pytest.approx(0.0, abs=1e-12)
+    assert L.prototype_regularizer(leaf(p), labels, m).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regularizer_hand_kl():
     m = np.array([[0.5, 0.5]])
     p = np.array([[0.25, 0.75]])
     want = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    got = L.prototype_regularizer(p, np.array([0]), m).item()
+    got = L.prototype_regularizer(leaf(p), np.array([0]), m).item()
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.1438, abs=1e-4)
 
@@ -136,7 +146,7 @@ def test_regularizer_positive_once_rows_deviate():
     labels = np.array([0, 1])
     p = m[labels].copy()
     p[0] = [0.5, 0.5]
-    assert L.prototype_regularizer(p, labels, m).item() > 1e-3
+    assert L.prototype_regularizer(leaf(p), labels, m).item() > 1e-3
 
 
 def test_regularizer_nonnegative():
@@ -145,7 +155,7 @@ def test_regularizer_nonnegative():
         m = rand_prototype(rng, 3, 5)
         p = rand_probs(rng, 6, 5)
         labels = rng.integers(0, 3, size=6)
-        assert L.prototype_regularizer(p, labels, m).item() >= -1e-12
+        assert L.prototype_regularizer(leaf(p), labels, m).item() >= -1e-12
 
 
 # ------------------------------------------------------------------ cpa
@@ -155,7 +165,7 @@ def test_cpa_zero_weights_and_prototype_rows():
     labels = np.array([0, 1])
     p_s = m[labels]
     p_t = np.array([[0.5, 0.5]])
-    loss = L.cpa_loss(p_s, p_t, np.zeros((2, 1)), labels, m)
+    loss = L.cpa_loss(*leaves(p_s, p_t), np.zeros((2, 1)), labels, m)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -163,7 +173,7 @@ def test_cpa_single_pair_composition():
     # alpha = 1, p = q = [1, 0], prototype equal to p so the regulariser is 0
     m = np.array([[1.0, 0.0]])
     p = np.array([[1.0, 0.0]])
-    loss = L.cpa_loss(p, p, np.ones((1, 1)), np.array([0]), m)
+    loss = L.cpa_loss(*leaves(p, p), np.ones((1, 1)), np.array([0]), m)
     assert loss.item() == pytest.approx(-math.log(2.0), abs=1e-4)
 
 
@@ -174,7 +184,7 @@ def test_cpa_pairwise_matches_scalar_pair_distance():
         p = rand_probs(rng, n_s, c)
         q = rand_probs(rng, n_t, c)
         alpha = rng.random((n_s, n_t))
-        got = L.cpa_pairwise(p, q, alpha).item()
+        got = L.cpa_pairwise(*leaves(p, q), alpha).item()
         want = sum(alpha[i, j] * L.pair_distance(p[i], q[j])
                    for i in range(n_s) for j in range(n_t))
         assert got == pytest.approx(want, abs=1e-10)
@@ -182,14 +192,13 @@ def test_cpa_pairwise_matches_scalar_pair_distance():
 
 def replicated_cpa_pairwise(p, q, alpha):
     """Reference CPA: every pair as one row of (n_s * n_t) x c, built by
-    multiplying replication constants into the clamped rows."""
-    tape = p.tape
+    multiplying replication arrays into the clamped rows."""
     n_s, n_t = p.shape[0], q.shape[0]
-    rep_s = tape.constant(np.repeat(np.eye(n_s), n_t, axis=0))
-    rep_t = tape.constant(np.tile(np.eye(n_t), (n_s, 1)))
+    rep_s = np.repeat(np.eye(n_s), n_t, axis=0)
+    rep_t = np.tile(np.eye(n_t), (n_s, 1))
     s = ad.add(ad.matmul(rep_s, ad.clamp_floor(p)), ad.matmul(rep_t, ad.clamp_floor(q)))
     per_pair = ad.row_sum(ad.mul(s, ad.log(s)))
-    weighted = ad.mul(tape.constant(alpha.reshape(-1, 1)), per_pair)
+    weighted = ad.mul(alpha.reshape(-1, 1), per_pair)
     return ad.scalar_affine(ad.col_sum(weighted), -0.5, 0.0)
 
 
@@ -372,7 +381,7 @@ def test_cpa_matches_classwise_form_one_hot_regime():
         p_h_t = L.one_hot(y_t, c1)
         alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
                                      L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
-        got = L.cpa_pairwise(p_s, p_t, alpha).item()
+        got = L.cpa_pairwise(*leaves(p_s, p_t), alpha).item()
         want = brute_force_classwise(p_s, y_s, p_t, y_t, c1)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -390,7 +399,7 @@ def test_cpa_pairwise_average_form_general_rows():
         p_h_t = L.one_hot(y_t, c1)
         alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
                                      L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
-        got = L.cpa_pairwise(p_s, p_t, alpha).item()
+        got = L.cpa_pairwise(*leaves(p_s, p_t), alpha).item()
         want = 0.0
         for c in range(c1):
             ms, mt = np.flatnonzero(y_s == c), np.flatnonzero(y_t == c)
@@ -487,7 +496,7 @@ def test_cgi_beta_one_is_gini_bit_for_bit():
         g = rand_probs(rng, n, c2)
         m = rand_prototype(rng, c1, c2)
         state = replace(L.cgi_state(p, g, m), beta=np.ones((n, 1)))
-        assert L.target_penalty_loss(p, state, "CGI").item() == L.gini_impurity(p)
+        assert L.target_penalty_loss(leaf(p), state, "CGI").item() == L.gini_impurity(p)
 
 
 def test_cgi_equal_distributions_give_gini():
@@ -496,7 +505,8 @@ def test_cgi_equal_distributions_give_gini():
     m = rand_prototype(rng, c1, c2)
     g = rand_probs(rng, 4, c2)
     p_tilde = L.transform_probability(g, m)
-    loss, state = L.cgi_loss(p_tilde, g, m)
+    state = L.cgi_state(p_tilde, g, m)
+    loss = L.target_penalty_loss(leaf(p_tilde), state, "CGI")
     assert np.allclose(state.beta, 1.0)
     assert loss.item() == pytest.approx(L.gini_impurity(p_tilde), abs=1e-12)
 
@@ -508,7 +518,7 @@ def test_cgi_hand_composition():
     beta = L.beta_factor(p_tilde[0], p_h[0])
     state = L.CgiState(p_tilde=p_tilde, beta=np.array([[beta]]),
                        p_mixed=0.5 * (p_tilde + p_h))
-    loss = L.target_penalty_loss(p_h, state, "CGI").item()
+    loss = L.target_penalty_loss(leaf(p_h), state, "CGI").item()
     want = beta * 0.18 + (1 - beta) * 0.42
     assert loss == pytest.approx(want, abs=1e-12)
     assert loss == pytest.approx(0.2760, abs=1e-3)
@@ -550,14 +560,15 @@ def test_penalty_variants_values():
     g = rand_probs(rng, n, c2)
     m = rand_prototype(rng, c1, c2)
     state = L.cgi_state(p, g, m)
-    ge = L.target_penalty_loss(p, None, "GE").item()
+    p_leaf = leaf(p)
+    ge = L.target_penalty_loss(p_leaf, None, "GE").item()
     assert ge == pytest.approx(gibbs_entropy(p), abs=1e-12)
-    gi = L.target_penalty_loss(p, None, "GI").item()
+    gi = L.target_penalty_loss(p_leaf, None, "GI").item()
     assert gi == pytest.approx(L.gini_impurity(p), abs=1e-12)
-    noreg = L.target_penalty_loss(p, state, "CGI_noreg").item()
+    noreg = L.target_penalty_loss(p_leaf, state, "CGI_noreg").item()
     assert noreg == pytest.approx(float(np.sum(state.beta.ravel() *
                                                (1 - np.sum(p * p, axis=1)))), abs=1e-10)
-    cge = L.target_penalty_loss(p, state, "CGE").item()
+    cge = L.target_penalty_loss(p_leaf, state, "CGE").item()
     ent = lambda x: -np.sum(L.clamp_probs(x) * np.log(L.clamp_probs(x)), axis=1)
     want = float(np.sum(state.beta.ravel() * ent(p)
                         + (1 - state.beta.ravel()) * ent(state.p_mixed)))
@@ -568,21 +579,22 @@ def test_penalty_variants_values():
 
 def test_classification_perfect_prediction_zero():
     p = np.array([[1.0, 0.0]])
-    assert L.classification_loss(p, np.array([0]), smoothing=0.0).item() == pytest.approx(0.0, abs=1e-9)
+    assert L.classification_loss(leaf(p), np.array([0]), smoothing=0.0).item() == pytest.approx(
+        0.0, abs=1e-9)
 
 
 def test_classification_focal_zero_gamma_is_plain_ce():
     rng = rng_for(14, "test/cls")
     p = rand_probs(rng, 5, 3)
     labels = rng.integers(0, 3, size=5)
-    plain = L.classification_loss(p, labels, smoothing=0.0).item()
-    focal0 = L.classification_loss(p, labels, focal_gamma=0.0).item()
+    plain = L.classification_loss(leaf(p), labels, smoothing=0.0).item()
+    focal0 = L.classification_loss(leaf(p), labels, focal_gamma=0.0).item()
     assert focal0 == pytest.approx(plain, abs=1e-12)
 
 
 def test_classification_smoothing_hand_value():
     p = np.array([[0.8, 0.2]])
-    got = L.classification_loss(p, np.array([0]), smoothing=0.1).item()
+    got = L.classification_loss(leaf(p), np.array([0]), smoothing=0.1).item()
     want = -(0.9 * math.log(0.8) + 0.1 * math.log(0.2))
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(0.3618, abs=1e-4)
@@ -591,13 +603,13 @@ def test_classification_smoothing_hand_value():
 def test_classification_rejects_bad_labels():
     p = np.array([[0.8, 0.2]])
     with pytest.raises(ContractViolationError):
-        L.classification_loss(p, np.array([2]), smoothing=0.0)
+        L.classification_loss(leaf(p), np.array([2]), smoothing=0.0)
 
 
 def test_classification_focal_weights_confident_samples_down():
     p = np.array([[0.9, 0.1], [0.6, 0.4]])
     labels = np.array([0, 0])
-    focal = L.classification_loss(p, labels, focal_gamma=2.0).item()
+    focal = L.classification_loss(leaf(p), labels, focal_gamma=2.0).item()
     want = np.mean([(1 - 0.9) ** 2 * -math.log(0.9), (1 - 0.6) ** 2 * -math.log(0.6)])
     assert focal == pytest.approx(want, abs=1e-12)
 
@@ -675,9 +687,9 @@ def test_all_losses_finite_on_clamped_inputs():
     labels = rng.integers(0, c1, size=n)
     alpha = rng.random((n, n))
     vals = [
-        L.cpa_loss(p_g, p_g, alpha, labels, m).item(),
-        L.cgi_loss(p_h, p_g, m)[0].item(),
-        L.classification_loss(p_h, labels, smoothing=0.1).item(),
-        L.prototype_regularizer(p_g, labels, m).item(),
+        L.cpa_loss(*leaves(p_g, p_g), alpha, labels, m).item(),
+        L.target_penalty_loss(leaf(p_h), L.cgi_state(p_h, p_g, m), "CGI").item(),
+        L.classification_loss(leaf(p_h), labels, smoothing=0.1).item(),
+        L.prototype_regularizer(leaf(p_g), labels, m).item(),
     ]
     assert all(np.isfinite(v) for v in vals)

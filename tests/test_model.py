@@ -87,7 +87,7 @@ def test_group_gradients_fill_unreached_tensors_and_skip_unreached_groups():
     tape = Tape()
     leaves = {g: model.leaves_for(tape, params.group(g)) for g in ("theta", "theta_g", "theta_h")}
     # reads theta_g's weight only: its bias and the other two groups are unreached
-    loss = ad.mean(ad.matmul(tape.constant(np.ones((1, 32))), leaves["theta_g"]["w"]))
+    loss = ad.mean(ad.matmul(np.ones((1, 32)), leaves["theta_g"]["w"]))
     grads = model.group_gradients(ad.backward(loss), leaves)
     assert set(grads) == {"theta_g"}
     assert grads["theta_g"].shape == params.theta_g.flat.shape
@@ -124,9 +124,13 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
         assert calls == [["theta", "theta_g", "theta_h"]] * (iteration + 1)
 
 
+# Pretraining's batch size, momentum and weight decay in these tests.
+SGD_ARGS = dict(batch_size=32, momentum=0.9, weight_decay=5e-4)
+
+
 def test_pretrain_separable_blobs_accuracy():
     task = make_pretrain_task(pretrain_cfg())
-    params = pretrain(task, task_classes=2, epochs=20, lr=0.05, seed=5)
+    params = pretrain(task, task_classes=2, epochs=20, lr=0.05, seed=5, **SGD_ARGS)
     assert heldout_accuracy(params, task) > 0.95
 
 
@@ -134,11 +138,11 @@ def test_pretrain_zero_epochs_chance_level():
     # diffuse clusters so an untrained head scores near chance rather than
     # quantising whole blobs into single classes
     task = make_pretrain_task(pretrain_cfg(noise=1.5))
-    params = pretrain(task, task_classes=2, epochs=0, lr=0.05, seed=5)
+    params = pretrain(task, task_classes=2, epochs=0, lr=0.05, seed=5, **SGD_ARGS)
     assert abs(heldout_accuracy(params, task) - 0.25) <= 0.15
 
 
-PRETRAIN_ARGS = dict(task_classes=2, epochs=5, lr=0.05, seed=5)
+PRETRAIN_ARGS = dict(task_classes=2, epochs=5, lr=0.05, seed=5, **SGD_ARGS)
 
 
 @pytest.fixture
@@ -265,7 +269,7 @@ def test_pretrain_memo_misses_when_any_key_field_changes(trainings, field):
 def test_pretrain_divergence_carries_epoch():
     task = make_pretrain_task(pretrain_cfg())
     with pytest.raises(TrainingDivergedError, match="epoch"):
-        pretrain(task, task_classes=2, epochs=5, lr=1e308, seed=5)
+        pretrain(task, task_classes=2, epochs=5, lr=1e308, seed=5, **SGD_ARGS)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -290,8 +294,9 @@ def test_pretraining_step_records_one_node_per_layer(trainings, monkeypatch):
 
     monkeypatch.setattr(ad, "backward", counting_backward)
     pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
-    # 8 parameter leaves, the input batch, 4 dense layers, 3 cross-entropy nodes
-    assert recorded and set(recorded) == {16}
+    # 8 parameter leaves, 4 dense layers, 3 cross-entropy nodes; the input
+    # batch is a detached array and records no node
+    assert recorded and set(recorded) == {15}
 
 
 def test_pretraining_and_prediction_tapes_freed_without_cycle_collector(trainings,

@@ -158,6 +158,13 @@ def test_grid_pda_threshold_sweep(tmp_path):
     names = [r.summary["grid_point"] for r in records]
     assert names == ["t0", "t1", "t2", "t5", "t10", "t14", "t20", "t30"]
     assert all(r.mode == "pda" for r in records)
+    # FAST's target holds 36 samples: t30 is reachable but never met, so the
+    # point stops incomplete, with both files, instead of failing.
+    t30 = records[-1]
+    assert t30.status == "incomplete"
+    assert "key 'train.pda_threshold'" in t30.summary["error"]
+    assert (t30.out_dir / "summary.json").exists() and (t30.out_dir / "epochs.csv").exists()
+    assert "t30,incomplete," in (tmp_path / "out" / "pda_threshold" / "grid_summary.csv").read_text()
 
 
 def test_grid_summary_reparseable(tmp_path):
@@ -274,6 +281,42 @@ def test_cli_run_refuses_too_few_samples(tmp_path, capsys, lines):
     cfg_path.write_text(lines + f"outputs = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg_path)]) == EXIT_CONFIG
     assert "key 'generator.samples_per_class'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threshold", [1000, 201])
+def test_cli_run_refuses_an_unreachable_pda_threshold(tmp_path, capsys, threshold):
+    # The default target holds 200 samples: refused at parse time, before
+    # pretraining and before the output directory is made.
+    cfg_path = tmp_path / "pda.cfg"
+    cfg_path.write_text(f"mode = pda\ntrain.epochs = 2\ntrain.pda_threshold = {threshold}\n"
+                        f"outputs = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "key 'train.pda_threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_with_an_unmet_pda_threshold_is_incomplete(tmp_path, capsys):
+    # 150 of 200 target samples is reachable, but no class is predicted that
+    # often, so every class falls below it while the run goes.
+    cfg_path = tmp_path / "pda.cfg"
+    cfg_path.write_text(f"mode = pda\ntrain.epochs = 2\ntrain.pda_threshold = 150\n"
+                        f"outputs = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_DIVERGED
+    assert capsys.readouterr().out.startswith("[incomplete] mode=pda")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["epochs.csv", "summary.json"]
+    summary = read_summary(tmp_path / "out" / "summary.json")
+    assert summary["status"] == "incomplete"
+    assert "key 'train.pda_threshold'" in summary["error"]
+    assert (tmp_path / "out" / "epochs.csv").read_text() == EPOCHS_HEADER + "\n"
+
+
+def test_grid_refuses_a_threshold_sweep_beyond_the_target(tmp_path):
+    # 4 classes of 5 target samples: the sweep's t30 is refused before any
+    # point runs or writes a file.
+    cfg = replace(fast_cfg(tmp_path=tmp_path), task_classes=4, samples_per_class=5)
+    with pytest.raises(ConfigError, match="train.pda_threshold"):
+        run_grid(cfg, "pda_threshold")
     assert not (tmp_path / "out").exists()
 
 

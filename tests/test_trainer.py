@@ -12,7 +12,8 @@ from probadapt import runner, trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import UdaPair, UnlabeledDataset, make_uda_pair
-from probadapt.errors import ConfigError, ContractViolationError, TrainingDivergedError
+from probadapt.errors import (ConfigError, ContractViolationError, EmptyPartialSetError,
+                              TrainingDivergedError)
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
@@ -85,8 +86,8 @@ def test_gradient_routing_default():
 
 
 def test_step_backward_returns_parameter_gradients_only(monkeypatch):
-    # Input batches, targets and detached values are constants, so each of the
-    # three passes returns the gradients of the parameters it reaches and no
+    # Input batches, targets and detached values are plain arrays, so each of
+    # the three passes returns the gradients of the parameters it reaches and no
     # others: cls and cpa reach 6 extractor + 2 head parameters, cgi the 2
     # task-head parameters.
     returned = []
@@ -154,19 +155,24 @@ def test_first_step_ignores_the_amplitude(key):
 
 
 def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
-    # Input batches, detached features, targets and masks are constants; the
-    # primitives that read them must not compute their share of a VJP.
-    wasted, constant_reads = [], []
+    # Input batches, detached features, calibration quantities and masks enter
+    # the tape as plain arrays; the primitives that read them must not compute
+    # their share of a VJP.
+    wasted, array_reads = [], []
+
+    def detached(operand):
+        return not isinstance(operand, ad.Tensor)
 
     class CheckingTape(Tape):
         def _register(self, node):
             vjp = node.vjp
-            if vjp is not None and any(p.op == "constant" for p in node.inputs):
+            if vjp is not None and any(detached(p) for p in node.inputs):
                 def checked(g, node=node, vjp=vjp):
                     out = vjp(g)
-                    constant_reads.append(node.op)
-                    wasted.extend((node.op, parent.op) for parent, pg in zip(node.inputs, out)
-                                  if parent.op == "constant" and pg is not None)
+                    array_reads.append(node.op)
+                    wasted.extend((node.op, i) for i, (parent, pg) in
+                                  enumerate(zip(node.inputs, out))
+                                  if detached(parent) and pg is not None)
                     return out
                 node.vjp = checked
             return super()._register(node)
@@ -174,7 +180,7 @@ def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
     monkeypatch.setattr(trainer, "Tape", CheckingTape)
     params, x_s, y_s, x_t, m = tiny_setup(n=16)
     step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
-    assert {"dense", "elementwise_mul", "add_bias"} <= set(constant_reads)
+    assert {"dense", "elementwise_mul", "add_bias"} <= set(array_reads)
     assert wasted == []
 
 
@@ -231,10 +237,10 @@ def test_step_records_one_node_per_layer_and_cross_entropy_term(monkeypatch):
     monkeypatch.setattr(ad, "backward", counting_backward)
     params, x_s, y_s, x_t, m = tiny_setup(n=16)
     step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig())
-    # 10 parameter leaves, 3 constants (both batches, the detached target
-    # features), 10 dense layers (3 per extractor pass, 4 heads), then 3
-    # classification, 7 CPA and 15 CGI nodes
-    assert recorded == [48, 48, 48]
+    # 10 parameter leaves, 10 dense layers (3 per extractor pass, 4 heads),
+    # then 3 classification, 7 CPA and 12 CGI nodes; both batches, the
+    # detached target features and the CGI state are plain arrays, no nodes
+    assert recorded == [42, 42, 42]
 
 
 def test_step_tape_freed_without_cycle_collector(monkeypatch):
@@ -385,7 +391,7 @@ def test_pda_mask_hand_case():
 
 
 def test_pda_mask_all_below_threshold_errors():
-    with pytest.raises(ContractViolationError, match="threshold"):
+    with pytest.raises(EmptyPartialSetError, match="'train.pda_threshold'.* 10 .* 3 target"):
         pda_class_mask(np.array([1, 2, 3]), 10)
 
 
@@ -409,7 +415,8 @@ def pretrained_and_pair(cfg):
 
     task = make_pretrain_task(cfg)
     params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                      cfg.seed, batch_size=cfg.batch_size)
+                      cfg.seed, batch_size=cfg.batch_size,
+                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     return params, make_uda_pair(cfg)
 
 

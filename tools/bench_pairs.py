@@ -12,11 +12,22 @@ For every end-to-end metric of the change's ``BENCHMARK.json`` the summary
 gives each side's median and quartiles, the gap between the medians against
 the parent's interquartile range, and the change's wins, ties and losses over
 the pairs in which both runs gave a result, by the metric's ``better``
-direction; a tie counts for neither. It then gives each side's ``failed`` out
-of ``attempted`` pipeline runs, lists every run that exited nonzero, and lists
-every run whose result reads ``"correct": false`` (a pin, status or
-byte-identity check failed), with its ``failed`` count. The exit status is 1 if
-any run is listed. Standard library only.
+direction; a tie counts for neither. After each metric's line comes its
+verdict, the first that holds of:
+
+- ``gain shown``: the change won at least 9 in 10 of the scored pairs, and
+  its median beats the parent's by more than the parent's IQR;
+- ``worse than bound``: the change's median is worse than the parent's by
+  more than the metric's relative ``bound``;
+- ``unresolved``: the parent's IQR is wider than the bound, so the runs spread
+  too widely to tell, unless every change run beats every parent run;
+- ``within bound``.
+
+It then gives each side's ``failed`` out of ``attempted`` pipeline runs, lists
+every run that exited nonzero, and lists every run whose result reads
+``"correct": false`` (a pin, status or byte-identity check failed), with its
+``failed`` count. The exit status is 1 if any run is listed. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -56,6 +67,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, mid, q3
 
 
+def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -> str:
+    """The verdict on one metric's scored pairs; see the module docstring."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    (pq1, pmid, pq3), (_, cmid, _) = quartiles(parent), quartiles(change)
+    allowed = metric["bound"] * abs(pmid)
+    if 10 * wins >= 9 * len(parent) and sign * (cmid - pmid) > pq3 - pq1:
+        return "gain shown"
+    if sign * (cmid - pmid) < -allowed:
+        return "worse than bound"
+    if pq3 - pq1 > allowed and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list[str], bool]:
     """Summary lines for ``(parent run, change run)`` pairs, and whether every run
     exited 0 with a correct result.
@@ -82,6 +107,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list
             f"gap {cmid - pmid:+.6g} vs parent IQR {pq3 - pq1:.6g}  "
             f"change wins {wins}, ties {ties}, losses {len(scored) - wins - ties} "
             f"of {len(scored)}")
+        lines.append(f"{name} verdict: {verdict(metric, parent, change, wins)}")
     for i, side in enumerate(SIDES):
         results = [pair[i]["result"] for pair in pairs if pair[i]["result"] is not None]
         lines.append(f"{side}: failed {sum(r['failed'] for r in results)} of "
