@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
 partial-set mask kept no class (status "incomplete") or that collapsed onto
 one class (status "collapsed"), or a grid point that failed with one of the
-package's errors (status "failed"), 1 selftest failure.
+package's errors (status "failed"), 1 selftest failure. Any other error inside
+a run is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
-from .errors import ConfigError, ContractViolationError
+from .errors import ConfigError
 from .runner import GRID_AXES, run_experiment, run_grid
 from .selftest import run_selftest
 
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
         else:  # fig1
             record = run_experiment(replace(cfg, mode="fig1"))
             records = [record]
-    except (ConfigError, ContractViolationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -21,7 +21,7 @@ from .data import PROBE_MIN_SAMPLES
 from .errors import ConfigError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 
-MODES = ("uda", "pda", "baseline", "fig1")
+MODES = ("uda", "pda", "fig1")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class ExperimentConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     label_smoothing: float = 0.1
-    focal_gamma: float | None = None
     pda_threshold: int = 14
     # pretraining stand-in
     pretrain_epochs: int = 30
@@ -116,10 +115,6 @@ def _parse_optional_int(text: str):
     return None if not text.strip() or text.strip().lower() == "none" else int(text)
 
 
-def _parse_optional_float(text: str):
-    return None if not text.strip() or text.strip().lower() == "none" else float(text)
-
-
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError("an integer")
@@ -173,7 +168,6 @@ _AS_PARSED = {
     _parse_bool: _boolean,
     _parse_floats: _reals,
     _parse_optional_int: _optional(_integer),
-    _parse_optional_float: _optional(_real),
 }
 
 
@@ -219,8 +213,6 @@ SCHEMA: dict[str, tuple[str, object, object]] = {
     "train.momentum": ("momentum", float, lambda v: 0 <= v < 1),
     "train.weight_decay": ("weight_decay", float, lambda v: v >= 0),
     "train.label_smoothing": ("label_smoothing", float, lambda v: 0 <= v < 1),
-    "train.focal_gamma": ("focal_gamma", _parse_optional_float,
-                          lambda v: v is None or v == 0 or v >= 1),
     "train.pda_threshold": ("pda_threshold", int, lambda v: v >= 0),
     "pretrain.epochs": ("pretrain_epochs", int, lambda v: v >= 0),
     "pretrain.lr": ("pretrain_lr", float, lambda v: v > 0),

@@ -36,7 +36,6 @@ class DomainDataset:
 
     inputs: np.ndarray
     labels: np.ndarray
-    domain_tag: str
     class_count: int
 
     def __post_init__(self):
@@ -56,7 +55,6 @@ class UnlabeledDataset:
     """Training-facing view of a domain with no label accessor at all."""
 
     inputs: np.ndarray
-    domain_tag: str
     class_count: int
 
     def __len__(self) -> int:
@@ -114,8 +112,8 @@ def make_pretrain_task(cfg: ExperimentConfig) -> PretrainTask:
                                  std, rng_for(cfg.seed, "data/pretrain_heldout"))
     c2 = cfg.pretrain_classes
     return PretrainTask(
-        train=DomainDataset(x_tr, y_tr, "pretrain", c2),
-        heldout=DomainDataset(x_ho, y_ho, "pretrain", c2),
+        train=DomainDataset(x_tr, y_tr, c2),
+        heldout=DomainDataset(x_ho, y_ho, c2),
     )
 
 
@@ -149,8 +147,8 @@ def make_uda_pair(cfg: ExperimentConfig) -> UdaPair:
                                rng_for(cfg.seed, "data/target"))
     x_t = _apply_shift(x_t, cfg, rng_for(cfg.seed, "data/target_noise"))
     return UdaPair(
-        source=DomainDataset(x_s, y_s, "source", cfg.task_classes),
-        target=UnlabeledDataset(x_t, "target", cfg.task_classes),
+        source=DomainDataset(x_s, y_s, cfg.task_classes),
+        target=UnlabeledDataset(x_t, cfg.task_classes),
         eval_labels=y_t,
     )
 

@@ -159,7 +159,6 @@ class CgiState:
 
     p_tilde: np.ndarray
     beta: np.ndarray       # shape (n, 1)
-    p_mixed: np.ndarray
 
     def __post_init__(self):
         if np.any(self.beta <= 0) or np.any(self.beta > 1.0 + 1e-12):
@@ -171,7 +170,7 @@ def cgi_state(p_h_values: np.ndarray, p_g_values: np.ndarray, prototype: np.ndar
     p_h_values = np.atleast_2d(np.asarray(p_h_values, dtype=np.float64))
     p_tilde = transform_probability(p_g_values, prototype)
     beta = beta_values(beta_variant, p_h_values, p_tilde)
-    return CgiState(p_tilde=p_tilde, beta=beta, p_mixed=0.5 * (p_tilde + p_h_values))
+    return CgiState(p_tilde=p_tilde, beta=beta)
 
 
 def _gini_rows(p: Tensor) -> Tensor:
@@ -260,14 +259,10 @@ def cpa_loss(p_g_s: Tensor, p_g_t: Tensor, alpha_st: np.ndarray, labels: np.ndar
                   prototype_regularizer(p_g_s, labels, prototype))
 
 
-def classification_loss(p_h_s: Tensor, labels: np.ndarray, smoothing: float = 0.0,
-                        focal_gamma: float | None = None) -> Tensor:
-    """Mean cross entropy against smoothed targets, or the focal form.
+def classification_loss(p_h_s: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
+    """Mean cross entropy against smoothed targets.
 
-    Smoothing puts 1 - s on the true class and s / (c - 1) elsewhere. When
-    ``focal_gamma`` is given, smoothing is ignored and each sample's term is
-    -(1 - p_true)^gamma * log(p_true), with the modulating factor carrying
-    gradient. ``focal_gamma`` must be 0 or at least 1.
+    Smoothing puts 1 - s on the true class and s / (c - 1) elsewhere.
     """
     labels = np.asarray(labels)
     n, c = p_h_s.shape
@@ -276,16 +271,6 @@ def classification_loss(p_h_s: Tensor, labels: np.ndarray, smoothing: float = 0.
     if not (0.0 <= smoothing < 1.0):
         raise ContractViolationError("smoothing must lie in [0, 1)")
     _check_label_range(labels, c)
-    if focal_gamma is None:
-        targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
-        targets[np.arange(n), labels] = 1.0 - smoothing
-        return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p_h_s), -1.0, 0.0))
-    gamma = float(focal_gamma)
-    if gamma != 0.0 and gamma < 1.0:
-        raise ContractViolationError("focal_gamma must be 0 or >= 1")
-    p_true = ad.row_sum(ad.mul(one_hot(labels, c), p_h_s))
-    neg_log = ad.scalar_affine(ad.log(ad.clamp_floor(p_true)), -1.0, 0.0)
-    if gamma == 0.0:
-        return ad.mean(neg_log)
-    weight = ad.power(ad.scalar_affine(p_true, -1.0, 1.0), gamma)
-    return ad.mean(ad.mul(weight, neg_log))
+    targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
+    targets[np.arange(n), labels] = 1.0 - smoothing
+    return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p_h_s), -1.0, 0.0))

@@ -244,7 +244,7 @@ def split_source(dataset: DomainDataset, seed: int) -> tuple[DomainDataset, Doma
     proto_idx = np.concatenate(proto_idx)
     train_idx = np.concatenate(train_idx)
     make = lambda rows: DomainDataset(dataset.inputs[rows], dataset.labels[rows],
-                                      dataset.domain_tag, dataset.class_count)
+                                      dataset.class_count)
     return make(proto_idx), make(train_idx)
 
 

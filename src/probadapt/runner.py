@@ -152,10 +152,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
             }
             report = TrainReport()
         else:
-            # The baseline trains with the classification loss alone.
-            train_cfg = (replace(cfg, lambda2_a=0.0, lambda3_a=0.0)
-                         if cfg.mode == "baseline" else cfg)
-            report, _ = train(params, pair, train_cfg)
+            report, _ = train(params, pair, cfg)
             summary = _train_summary(cfg, report, pretrain_acc)
             if cfg.mode == "pda":
                 summary["pda_threshold"] = cfg.pda_threshold

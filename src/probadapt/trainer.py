@@ -23,8 +23,8 @@ groups; a group every reaching loss weighs at exactly zero is not stepped.
 
 Every setting is read from the one :class:`config.ExperimentConfig`, already
 validated when it was built: the annealed rate and the lambda ramps, the
-step's loss variants, and partial-set masking, which is on exactly when
-``mode`` is ``pda``, at ``pda_threshold``.
+step's label smoothing and beta and penalty variants, and partial-set
+masking, which is on exactly when ``mode`` is ``pda``, at ``pda_threshold``.
 """
 
 from __future__ import annotations
@@ -152,8 +152,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         losses.source_weights(losses.one_hot(y_s, p_h_s.shape[1])),
         losses.target_weights(p_h_t_val, y_tilde))
 
-    l_cls = losses.classification_loss(p_h_s, y_s, smoothing=config.label_smoothing,
-                                       focal_gamma=config.focal_gamma)
+    l_cls = losses.classification_loss(p_h_s, y_s, smoothing=config.label_smoothing)
     l_cpa = losses.cpa_loss(p_g_s, p_g_t, alpha_st, y_s, prototype)
     state = losses.cgi_state(p_h_t_val, p_g_t.value, prototype, config.beta_variant)
     l_cgi = losses.target_penalty_loss(p_h_t, state, config.penalty_variant)

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from probadapt import config as config_module
 from probadapt.config import (SCHEMA, ExperimentConfig, config_hash, parse_config,
                               serialize_config)
 from probadapt.data import PROBE_MIN_SAMPLES, make_uda_pair
@@ -32,6 +31,8 @@ def test_empty_document_gives_defaults():
 def test_unknown_key_named_in_error():
     with pytest.raises(ConfigError, match="train.bogus"):
         parse_config("train.bogus = 3")
+    with pytest.raises(ConfigError, match=r"unknown key 'train\.focal_gamma'"):
+        parse_config("train.focal_gamma = 2")
 
 
 def test_type_error_names_key():
@@ -63,7 +64,7 @@ def test_comments_and_blank_lines_ignored():
 def test_round_trip():
     cfg = parse_config("mode = pda\nseed = 3\ngenerator.rotation = 0.5\n"
                        "generator.translation = 0.1,0.2,0.3,0.4,0.5,0.6\n"
-                       "train.focal_gamma = 2.0\n")
+                       "generator.target_class_count = 2\n")
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -81,9 +82,8 @@ def test_hash_stable_under_reordering():
 
 
 def test_optional_fields_parse():
-    cfg = parse_config("generator.target_class_count = 2\ntrain.focal_gamma = none\n")
-    assert cfg.target_class_count == 2
-    assert cfg.focal_gamma is None
+    assert parse_config("generator.target_class_count = 2\n").target_class_count == 2
+    assert parse_config("generator.target_class_count = none\n").target_class_count is None
 
 
 def test_translation_length_checked():
@@ -190,7 +190,6 @@ def test_config_is_frozen():
     ({"translation": "123456"}, "generator.translation"),
     ({"translation": (1.0, "2", 0.0, 0.0, 0.0, 0.0)}, "generator.translation"),
     ({"target_class_count": 2.0}, "generator.target_class_count"),
-    ({"focal_gamma": "2"}, "train.focal_gamma"),
 ])
 def test_wrongly_typed_value_names_key(values, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -199,8 +198,7 @@ def test_wrongly_typed_value_names_key(values, key):
         replace(ExperimentConfig(), **values)
 
 
-FLOAT_KEYS = [key for key, (_, parser, _) in SCHEMA.items()
-              if parser in (float, config_module._parse_optional_float)]
+FLOAT_KEYS = [key for key, (_, parser, _) in SCHEMA.items() if parser is float]
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
@@ -234,10 +232,9 @@ def test_int_beyond_float_range_names_key():
 
 
 def test_int_for_float_key_stored_as_parsed():
-    cfg = ExperimentConfig(tau=0, focal_gamma=2, translation=[1, 0, 0, 0, 0, 0])
-    parsed = parse_config("schedule.tau = 0\ntrain.focal_gamma = 2\n"
-                          "generator.translation = 1,0,0,0,0,0\n")
-    assert type(cfg.tau) is float and type(cfg.focal_gamma) is float
+    cfg = ExperimentConfig(tau=0, translation=[1, 0, 0, 0, 0, 0])
+    parsed = parse_config("schedule.tau = 0\ngenerator.translation = 1,0,0,0,0,0\n")
+    assert type(cfg.tau) is float
     assert cfg.translation == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert cfg == parsed
     assert serialize_config(cfg) == serialize_config(parsed)
@@ -254,4 +251,4 @@ def test_example_config_lists_every_key_with_its_default():
     assert keys == Counter(list(SCHEMA))
     cfg = parse_config(text)
     assert cfg == replace(ExperimentConfig(), outputs="runs/example")
-    assert config_hash(cfg) == "f9acba1bbdc8a3f9"
+    assert config_hash(cfg) == "8ba226fdfc0e842b"

@@ -516,8 +516,7 @@ def test_cgi_hand_composition():
     p_h = np.array([[0.9, 0.1]])
     p_tilde = np.array([[0.5, 0.5]])
     beta = L.beta_factor(p_tilde[0], p_h[0])
-    state = L.CgiState(p_tilde=p_tilde, beta=np.array([[beta]]),
-                       p_mixed=0.5 * (p_tilde + p_h))
+    state = L.CgiState(p_tilde=p_tilde, beta=np.array([[beta]]))
     loss = L.target_penalty_loss(leaf(p_h), state, "CGI").item()
     want = beta * 0.18 + (1 - beta) * 0.42
     assert loss == pytest.approx(want, abs=1e-12)
@@ -571,7 +570,7 @@ def test_penalty_variants_values():
     cge = L.target_penalty_loss(p_leaf, state, "CGE").item()
     ent = lambda x: -np.sum(L.clamp_probs(x) * np.log(L.clamp_probs(x)), axis=1)
     want = float(np.sum(state.beta.ravel() * ent(p)
-                        + (1 - state.beta.ravel()) * ent(state.p_mixed)))
+                        + (1 - state.beta.ravel()) * ent(0.5 * (state.p_tilde + p))))
     assert cge == pytest.approx(want, abs=1e-8)
 
 
@@ -581,15 +580,6 @@ def test_classification_perfect_prediction_zero():
     p = np.array([[1.0, 0.0]])
     assert L.classification_loss(leaf(p), np.array([0]), smoothing=0.0).item() == pytest.approx(
         0.0, abs=1e-9)
-
-
-def test_classification_focal_zero_gamma_is_plain_ce():
-    rng = rng_for(14, "test/cls")
-    p = rand_probs(rng, 5, 3)
-    labels = rng.integers(0, 3, size=5)
-    plain = L.classification_loss(leaf(p), labels, smoothing=0.0).item()
-    focal0 = L.classification_loss(leaf(p), labels, focal_gamma=0.0).item()
-    assert focal0 == pytest.approx(plain, abs=1e-12)
 
 
 def test_classification_smoothing_hand_value():
@@ -604,14 +594,6 @@ def test_classification_rejects_bad_labels():
     p = np.array([[0.8, 0.2]])
     with pytest.raises(ContractViolationError):
         L.classification_loss(leaf(p), np.array([2]), smoothing=0.0)
-
-
-def test_classification_focal_weights_confident_samples_down():
-    p = np.array([[0.9, 0.1], [0.6, 0.4]])
-    labels = np.array([0, 0])
-    focal = L.classification_loss(leaf(p), labels, focal_gamma=2.0).item()
-    want = np.mean([(1 - 0.9) ** 2 * -math.log(0.9), (1 - 0.6) ** 2 * -math.log(0.6)])
-    assert focal == pytest.approx(want, abs=1e-12)
 
 
 # --------------------------------------------------------- pseudo labels

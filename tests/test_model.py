@@ -24,7 +24,7 @@ from probadapt.seeding import rng_for
 def small_labeled(labels, dim=3, class_count=None, seed=0):
     labels = np.asarray(labels)
     rng = rng_for(seed, "test/smalldata")
-    return DomainDataset(rng.normal(size=(len(labels), dim)), labels, "source",
+    return DomainDataset(rng.normal(size=(len(labels), dim)), labels,
                          class_count or int(labels.max()) + 1)
 
 

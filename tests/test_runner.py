@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probadapt import model, runner
+from probadapt import cli, model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import MODES, parse_config
-from probadapt.errors import ConfigError, MissingClassError
+from probadapt.errors import ConfigError, ContractViolationError, MissingClassError
 from probadapt.model import init_params
 from probadapt.trainer import TrainReport
 from probadapt.runner import EPOCHS_HEADER, read_grid_summary, run_experiment, run_grid
@@ -62,16 +62,6 @@ def test_rerun_byte_identical(tmp_path):
     b = run_experiment(fast_cfg(tmp_path=tmp_path))
     assert (b.out_dir / "epochs.csv").read_bytes() == csv_first
     assert (b.out_dir / "summary.json").read_bytes() == summary_first
-
-
-def test_baseline_equals_uda_with_zero_lambdas(tmp_path):
-    base = fast_cfg("mode = baseline\n", tmp_path=tmp_path, name="base")
-    uda0 = fast_cfg("schedule.lambda2_a = 0.0\nschedule.lambda3_a = 0.0\n",
-                    tmp_path=tmp_path, name="uda0")
-    ra = run_experiment(base)
-    rb = run_experiment(uda0)
-    assert (ra.out_dir / "epochs.csv").read_bytes() == (rb.out_dir / "epochs.csv").read_bytes()
-    assert summary_metrics(ra.summary) == summary_metrics(rb.summary)
 
 
 def test_pda_threshold_zero_matches_uda_files(tmp_path):
@@ -207,8 +197,22 @@ def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkey
         run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
 
 
+def test_cli_run_propagates_a_contract_violation(tmp_path, monkeypatch):
+    # Every config refusal is a ConfigError raised at parse time, so a contract
+    # violation inside a run is a programming error, not a configuration error.
+    def run(cfg, out_dir=None):
+        raise ContractViolationError("matmul shapes (16, 6) x (5, 64) do not conform")
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FAST + f"outputs = {tmp_path / 'out'}\n")
+    with pytest.raises(ContractViolationError, match="matmul shapes"):
+        main(["run", str(cfg_path)])
+
+
 # Every point of the other axes trains as a uda run, and every point of
 # pda_threshold as a pda run, so a grid from any other mode would lose it.
+# "baseline" is no longer a mode: its document is refused when it is parsed.
 REFUSED_GRIDS = [(mode, axis) for mode in ("baseline", "pda", "fig1") for axis in runner.GRID_AXES
                  if (mode, axis) != ("pda", "pda_threshold")]
 
@@ -247,12 +251,13 @@ def test_run_records_the_config_mode(tmp_path, mode):
 
 
 def test_ablation_mode_is_refused(tmp_path):
-    with pytest.raises(ConfigError, match="mode"):
-        fast_cfg("mode = ablation_components\n")
-    cfg_path = tmp_path / "ablation.cfg"
-    cfg_path.write_text(FAST + f"mode = ablation_components\noutputs = {tmp_path / 'out'}\n")
-    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    for mode in ("ablation_components", "baseline"):
+        with pytest.raises(ConfigError, match="mode"):
+            fast_cfg(f"mode = {mode}\n")
+        cfg_path = tmp_path / f"{mode}.cfg"
+        cfg_path.write_text(FAST + f"mode = {mode}\noutputs = {tmp_path / mode}\n")
+        assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+        assert not (tmp_path / mode).exists()
 
 
 @pytest.mark.parametrize("line", ["generator.rotation = nan", "schedule.eta0 = inf",
