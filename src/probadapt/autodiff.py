@@ -23,10 +23,11 @@ values and gradients equal the composite's bit for bit.
 
 Inputs enter a tape as leaves, which :func:`backward` differentiates, or as
 plain arrays, which are detached: matmul, add, mul and dense take each
-operand as a Tensor or an array, read an array operand in place, record no
-node for it and compute no VJP product for it, so an array must not change
-while its tape is in use. A detached copy of a tensor is its ``value``. Every
-primitive needs at least one Tensor operand, so it always returns a Tensor.
+operand as a Tensor or an array, record no node for an array operand and
+compute no VJP product for it. Both kinds are read in place, so no tape
+input, leaf or array, may change while its tape is in use. A detached copy
+of a tensor is its ``value``. Every primitive needs at least one Tensor
+operand, so it always returns a Tensor.
 
 Most primitives allocate their result and keep the arrays their VJP reads.
 :func:`pair_entropy` is the exception because its (P, c) pair arrays are the
@@ -120,10 +121,11 @@ class Tape:
         """Record a differentiable input, such as a parameter.
 
         :func:`backward` returns a gradient for every leaf that feeds its
-        output. The value is copied, so the in-place parameter updates that
-        follow a :func:`backward` do not reach the tape.
+        output. A 2-D float64 value is read in place, not copied, so it must
+        not change while the tape is in use: a caller finishes its
+        :func:`backward` passes before it updates the parameters in place.
         """
-        return Tensor(as_matrix(value).copy(), self, "leaf")
+        return Tensor(as_matrix(value), self, "leaf")
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -442,25 +444,25 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
     return Tensor(total * -0.5 + 0.0, tape, "pair_entropy", (a, b), vjp)
 
 
-def _clamp_floor_value(x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """max(x, floor) as max(x - floor, 0) + floor, and the mask of entries above it."""
-    shifted = x - floor
+def _clamp_floor_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(x, EPS) as max(x - EPS, 0) + EPS, and the mask of entries above it."""
+    shifted = x - EPS
     mask = shifted > 0.0
     # np.maximum (not where) so NaN propagates instead of flushing to zero
     value = np.maximum(shifted, 0.0, out=shifted)
-    value += floor
+    value += EPS
     return value, mask
 
 
-def clamp_floor(x: Tensor, floor: float = EPS) -> Tensor:
-    """max(x, floor) as max(x - floor, 0) + floor, in one node.
+def clamp_floor(x: Tensor) -> Tensor:
+    """max(x, EPS) as max(x - EPS, 0) + EPS, in one node.
 
     Standard guard in front of log / KL evaluations; the subgradient is zero
     at and below the floor. The rounding steps are those of the composite
-    ``scalar_affine(relu(scalar_affine(x, 1.0, -floor)), 1.0, floor)``, whose
+    ``scalar_affine(relu(scalar_affine(x, 1.0, -EPS)), 1.0, EPS)``, whose
     products with 1.0 are exact, so value and gradient equal it bit for bit.
     """
-    value, mask = _clamp_floor_value(x.value, float(floor))
+    value, mask = _clamp_floor_value(x.value)
 
     def vjp(g):
         return (g * mask,)
@@ -482,7 +484,7 @@ def weighted_log_rows(weights, p: Tensor) -> Tensor:
     if w.shape != p.shape:
         raise ContractViolationError(
             f"weighted_log_rows weights shape {w.shape} != operand shape {p.shape}")
-    clamped, mask = _clamp_floor_value(p.value, EPS)
+    clamped, mask = _clamp_floor_value(p.value)
     c = p.shape[1]
 
     def vjp(g):
@@ -527,16 +529,15 @@ def grad_or_zero(grads: dict[Tensor, np.ndarray], leaf: Tensor) -> np.ndarray:
     return np.zeros_like(leaf.value) if g is None else g
 
 
-def finite_difference_check(build, params: Sequence[np.ndarray], h: float = 1e-5) -> float:
+def finite_difference_check(build, params: Sequence[np.ndarray]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``build(tape, leaves)`` must construct and return a scalar Tensor from the
-    given leaves. Every coordinate of every parameter is perturbed by +-h and
-    the analytic gradient is compared against the central difference with the
-    relative error |analytic - numeric| / max(1e-8, |numeric|).
+    given leaves. Every coordinate of every parameter is perturbed by
+    +-h = 1e-5 and the analytic gradient is compared against the central
+    difference with the relative error |analytic - numeric| / max(1e-8, |numeric|).
     """
-    if h <= 0:
-        raise ContractViolationError("h must be positive")
+    h = 1e-5
     base = [as_matrix(p).copy() for p in params]
 
     def value_at(values) -> float:

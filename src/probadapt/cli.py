@@ -3,7 +3,6 @@
 Subcommands:
   run <config>             execute the config's mode pipeline
   grid <config> --axis A   one run per point of an ablation axis
-  fig1 <config>            domain-gap comparison (mode forced to fig1)
   selftest                 built-in invariant checks
 
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import parse_config
@@ -51,9 +49,6 @@ def main(argv=None) -> int:
     p_grid.add_argument("config")
     p_grid.add_argument("--axis", required=True, choices=GRID_AXES)
 
-    p_fig1 = sub.add_parser("fig1", help="feature-space vs probability-space domain gap")
-    p_fig1.add_argument("config")
-
     sub.add_parser("selftest", help="run the built-in invariant checks")
 
     args = parser.parse_args(argv)
@@ -68,25 +63,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "run":
-            record = run_experiment(cfg)
-            records = [record]
-        elif args.command == "grid":
-            records = run_grid(cfg, args.axis)
-        else:  # fig1
-            record = run_experiment(replace(cfg, mode="fig1"))
-            records = [record]
+        records = ([run_experiment(cfg)] if args.command == "run"
+                   else run_grid(cfg, args.axis))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     worst = EXIT_OK
     for rec in records:
-        line = f"[{rec.status}] mode={rec.mode} seed={rec.seed} out={rec.out_dir}"
-        if "final_target_accuracy" in rec.summary:
-            line += f" target_acc={rec.summary['final_target_accuracy']:.4f}"
+        s = rec.summary
+        line = f"[{s['status']}] mode={s['mode']} seed={s['seed']} out={rec.out_dir}"
+        if "final_target_accuracy" in s:
+            line += f" target_acc={s['final_target_accuracy']:.4f}"
         print(line)
-        if rec.status != "complete":
+        if s["status"] != "complete":
             worst = EXIT_DIVERGED
     return worst
 

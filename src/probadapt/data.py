@@ -55,7 +55,6 @@ class UnlabeledDataset:
     """Training-facing view of a domain with no label accessor at all."""
 
     inputs: np.ndarray
-    class_count: int
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -148,7 +147,7 @@ def make_uda_pair(cfg: ExperimentConfig) -> UdaPair:
     x_t = _apply_shift(x_t, cfg, rng_for(cfg.seed, "data/target_noise"))
     return UdaPair(
         source=DomainDataset(x_s, y_s, cfg.task_classes),
-        target=UnlabeledDataset(x_t, cfg.task_classes),
+        target=UnlabeledDataset(x_t),
         eval_labels=y_t,
     )
 
@@ -170,9 +169,9 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.nd
     return (train - mu) / sd, (test - mu) / sd
 
 
-def _logistic_probe_error(x_tr, y_tr, x_te, y_te, steps: int = 300, lr: float = 0.5,
-                          l2: float = 1e-3, momentum: float = 0.9) -> float:
-    """Held-out error of a zero-initialised full-batch logistic regression.
+def _logistic_probe_error(x_tr, y_tr, x_te, y_te) -> float:
+    """Held-out error of a zero-initialised full-batch logistic regression:
+    300 steps at rate 0.5, L2 weight 1e-3 and momentum 0.9.
 
     Zero init plus full-batch gradient descent makes the probe exactly
     symmetric under a global label swap, which keeps the distance symmetric
@@ -185,7 +184,8 @@ def _logistic_probe_error(x_tr, y_tr, x_te, y_te, steps: int = 300, lr: float = 
     vw = np.zeros_like(w)
     vb = 0.0
     y = y_tr.reshape(-1, 1)
-    for _ in range(steps):
+    lr, l2, momentum = 0.5, 1e-3, 0.9
+    for _ in range(300):
         p = 1.0 / (1.0 + np.exp(-(x_tr @ w + b)))
         err = p - y
         gw = x_tr.T @ err / n + l2 * w

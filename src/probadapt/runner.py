@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentConfig, config_hash
@@ -48,13 +48,14 @@ GRID_AXES = ("beta_variant", "penalty_variant", "components", "pda_threshold")
 
 @dataclass
 class RunRecord:
-    mode: str
-    seed: int
-    config_hash: str
-    status: str
+    """Where a run wrote its files, its summary (which holds its ``status``,
+    ``mode``, ``seed`` and ``config_hash``), and the report whose rows
+    ``epochs.csv`` holds: empty for a ``fig1`` or incomplete run, None for a
+    failed grid point."""
+
     out_dir: Path
-    report: TrainReport | None = None
-    summary: dict = field(default_factory=dict)
+    summary: dict
+    report: TrainReport | None
 
 
 def resolve_out_dir(cfg: ExperimentConfig, *extra: str) -> Path:
@@ -106,24 +107,19 @@ def collapsed(cfg: ExperimentConfig, report: TrainReport) -> bool:
             and sum(n > 0 for n in report.final_prediction_counts) == 1)
 
 
-def _train_summary(cfg: ExperimentConfig, report: TrainReport, pretrain_acc: float) -> dict:
-    return {
-        "status": "collapsed" if collapsed(cfg, report) else "complete",
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "config_hash": config_hash(cfg),
-        "epochs_completed": len(report.epochs),
-        "pretrain_heldout_accuracy": pretrain_acc,
-        "final_target_accuracy": report.final_target_accuracy,
-        "feature_distance": report.feature_distance,
-        "probability_distance": report.probability_distance,
-        "probability_distance_smaller": report.probability_distance < report.feature_distance,
-    }
+def _summary(cfg: ExperimentConfig, status: str, **fields) -> dict:
+    """A run's summary: the ``status``/``mode``/``seed``/``config_hash`` head
+    every run shares, then ``fields``."""
+    return {"status": status, "mode": cfg.mode, "seed": cfg.seed,
+            "config_hash": config_hash(cfg), **fields}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRecord:
     """Execute one mode pipeline and write its report files.
 
+    The pipeline is pretrain, the domain pair, adaptation (skipped in
+    ``fig1`` mode), then the domain-gap probe of the final parameters: the
+    pretrained model in ``fig1`` mode, the adapted one otherwise.
     Divergence, or a partial-set mask that keeps no class, produces a record
     with status "incomplete" instead of raising, and a run whose final target
     predictions all fall in one class (see :func:`collapsed`) has status
@@ -131,48 +127,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
     """
     out = resolve_out_dir(cfg) if out_dir is None else out_dir
     out.mkdir(parents=True, exist_ok=True)
-    record = RunRecord(mode=cfg.mode, seed=cfg.seed, config_hash=config_hash(cfg),
-                       status="complete", out_dir=out)
-
+    report = TrainReport()
     try:
         params, pretrain_acc = _pretrained_model(cfg)
         pair = make_uda_pair(cfg)
-        if cfg.mode == "fig1":
-            distances = fig1_analog(params, pair.source, pair.target, cfg.seed)
-            summary = {
-                "status": "complete",
-                "mode": cfg.mode,
-                "seed": cfg.seed,
-                "config_hash": record.config_hash,
-                "pretrain_heldout_accuracy": pretrain_acc,
-                "feature_distance": distances["feature_distance"],
-                "probability_distance": distances["probability_distance"],
-                "probability_distance_smaller":
-                    distances["probability_distance"] < distances["feature_distance"],
-            }
-            report = TrainReport()
-        else:
-            report, _ = train(params, pair, cfg)
-            summary = _train_summary(cfg, report, pretrain_acc)
+        fields = {"pretrain_heldout_accuracy": pretrain_acc}
+        if cfg.mode != "fig1":
+            report, params = train(params, pair, cfg)
+            fields.update(epochs_completed=len(report.epochs),
+                          final_target_accuracy=report.final_target_accuracy)
             if cfg.mode == "pda":
-                summary["pda_threshold"] = cfg.pda_threshold
-            record.status = summary["status"]
-            record.report = report
+                fields["pda_threshold"] = cfg.pda_threshold
+        fields.update(fig1_analog(params, pair.source, pair.target, cfg.seed))
+        fields["probability_distance_smaller"] = (
+            fields["probability_distance"] < fields["feature_distance"])
+        # an empty report (fig1 mode) never counts as collapsed
+        summary = _summary(cfg, "collapsed" if collapsed(cfg, report) else "complete", **fields)
     except (TrainingDivergedError, EmptyPartialSetError) as exc:
-        record.status = "incomplete"
-        summary = {
-            "status": "incomplete",
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "config_hash": record.config_hash,
-            "error": str(exc),
-        }
-        report = TrainReport()
+        summary = _summary(cfg, "incomplete", error=str(exc))
 
     write_epochs_csv(out / "epochs.csv", report)
     write_summary(out / "summary.json", summary)
-    record.summary = summary
-    return record
+    return RunRecord(out, summary, report)
 
 
 def _grid_points(cfg: ExperimentConfig, axis: str):
@@ -219,15 +195,13 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
         try:
             rec = run_experiment(point_cfg, out_dir=out)
         except ProbadaptError as exc:
-            rec = RunRecord(mode=point_cfg.mode, seed=point_cfg.seed,
-                            config_hash=config_hash(point_cfg), status="failed",
-                            out_dir=out, summary={"status": "failed", "error": str(exc)})
-        rec.summary = dict(rec.summary, grid_point=name)
+            rec = RunRecord(out, _summary(point_cfg, "failed", error=str(exc)), None)
+        rec.summary["grid_point"] = name
         records.append(rec)
     lines = ["point,status,final_target_accuracy"]
     for rec in records:
         acc = rec.summary.get("final_target_accuracy", "")
-        lines.append(f"{rec.summary.get('grid_point')},{rec.status},"
+        lines.append(f"{rec.summary['grid_point']},{rec.summary['status']},"
                      f"{repr(acc) if acc != '' else ''}")
     base.mkdir(parents=True, exist_ok=True)
     _atomic_write(base / "grid_summary.csv", "\n".join(lines) + "\n")

@@ -148,7 +148,7 @@ CHECKS = (
 )
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     """Run every check; print one line each; True when all pass."""
     all_ok = True
     for name, check in CHECKS:
@@ -159,6 +159,5 @@ def run_selftest(verbose: bool = True) -> bool:
             ok = False
             name = f"{name} ({exc})"
         all_ok = all_ok and ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     return all_ok

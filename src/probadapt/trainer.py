@@ -40,8 +40,8 @@ from .autodiff import Tape
 from .config import ExperimentConfig
 from .data import UdaPair, UnlabeledDataset, accuracy
 from .errors import ContractViolationError, EmptyPartialSetError, TrainingDivergedError
-from .model import (ParamGroups, descend, feature_graph, fig1_analog, group_gradients,
-                    head_graph, learn_prototype, leaves_for, predict_proba, split_source)
+from .model import (ParamGroups, descend, feature_graph, group_gradients, head_graph,
+                    learn_prototype, leaves_for, predict_proba, split_source)
 from .optim import SgdState
 from .seeding import rng_for
 
@@ -62,8 +62,6 @@ class EpochRecord:
 class TrainReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     final_target_accuracy: float = 0.0
-    feature_distance: float = 0.0
-    probability_distance: float = 0.0
     # Final task-head predictions on the target: rows per class, and how many
     # classes the final partial-set mask keeps (all of them without one).
     final_prediction_counts: tuple[int, ...] = ()
@@ -248,7 +246,8 @@ def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
     the final predictions, from the same evaluation that gives the final
     accuracy. ``prototype_fn(p_g_val, labels, classes)`` is a swappable
     estimator of the class centers; the default is the clamped
-    class-conditional mean.
+    class-conditional mean. Returns the report and the adapted copy of
+    ``pretrained``.
     """
     if len(pair.source) == 0 or len(pair.target) == 0:
         raise ContractViolationError("both domains must be non-empty")
@@ -298,7 +297,4 @@ def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
         int(n) for n in np.bincount(final_pred, minlength=classes))
     report.final_admissible_classes = (
         classes if final_mask is None else int(np.count_nonzero(final_mask)))
-    distances = fig1_analog(params, pair.source, pair.target, config.seed)
-    report.feature_distance = distances["feature_distance"]
-    report.probability_distance = distances["probability_distance"]
     return report, params

@@ -83,6 +83,12 @@ def test_backward_unused_leaf_absent():
     assert np.array_equal(ad.grad_or_zero(grads, unused), [[0.0]])
 
 
+def test_leaf_reads_a_float64_matrix_in_place():
+    # like an array operand: no copy, so it must not change while its tape is in use
+    a = np.arange(6.0).reshape(2, 3)
+    assert np.shares_memory(Tape().leaf(a).value, a)
+
+
 def test_backward_never_returns_constants():
     # a detached array operand gets no gradient; only Tensors are returned
     tape = Tape()

@@ -8,10 +8,11 @@ import pytest
 
 from probadapt import cli, model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from probadapt.config import MODES, parse_config
+from probadapt.config import MODES, config_hash, parse_config
+from probadapt.data import make_uda_pair
 from probadapt.errors import ConfigError, ContractViolationError, MissingClassError
 from probadapt.model import init_params
-from probadapt.trainer import TrainReport
+from probadapt.trainer import TrainReport, train
 from probadapt.runner import EPOCHS_HEADER, read_grid_summary, run_experiment, run_grid
 
 from report_files import read_epochs_csv, read_summary, summary_metrics
@@ -39,7 +40,7 @@ def fast_cfg(extra="", tmp_path=None, name="out"):
 
 def test_uda_run_writes_reparseable_files(tmp_path):
     rec = run_experiment(fast_cfg(tmp_path=tmp_path))
-    assert rec.status == "complete"
+    assert rec.summary["status"] == "complete"
     rows = read_epochs_csv(rec.out_dir / "epochs.csv")
     assert len(rows) == 2
     assert list(rows[0].keys()) == EPOCHS_HEADER.split(",")
@@ -74,17 +75,29 @@ def test_pda_threshold_zero_matches_uda_files(tmp_path):
 
 def test_fig1_mode_emits_distances(tmp_path):
     rec = run_experiment(fast_cfg("mode = fig1\n", tmp_path=tmp_path))
-    assert rec.status == "complete"
+    assert rec.summary["status"] == "complete"
     summary = read_summary(rec.out_dir / "summary.json")
     assert "feature_distance" in summary and "probability_distance" in summary
     assert isinstance(summary["probability_distance_smaller"], bool)
     assert (rec.out_dir / "epochs.csv").read_text().splitlines() == [EPOCHS_HEADER]
 
 
+def test_uda_run_probes_the_adapted_params(tmp_path):
+    cfg = fast_cfg(tmp_path=tmp_path)
+    summary = run_experiment(cfg).summary
+    params, _ = runner._pretrained_model(cfg)
+    pair = make_uda_pair(cfg)
+    _, adapted = train(params, pair, cfg)
+    distances = model.fig1_analog(adapted, pair.source, pair.target, cfg.seed)
+    assert {k: summary[k] for k in distances} == distances
+    assert summary["probability_distance_smaller"] == (
+        distances["probability_distance"] < distances["feature_distance"])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_marks_incomplete(tmp_path):
     rec = run_experiment(fast_cfg("schedule.eta0 = 1e300\n", tmp_path=tmp_path))
-    assert rec.status == "incomplete"
+    assert rec.summary["status"] == "incomplete"
     summary = read_summary(rec.out_dir / "summary.json")
     assert summary["status"] == "incomplete"
     assert "error" in summary
@@ -94,7 +107,7 @@ def test_grid_beta_axis_four_points(tmp_path):
     records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
     names = [r.summary["grid_point"] for r in records]
     assert names == ["constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl"]
-    assert all(r.status == "complete" for r in records)
+    assert all(r.summary["status"] == "complete" for r in records)
 
 
 def test_grid_penalty_axis_five_points(tmp_path):
@@ -128,7 +141,7 @@ def test_components_grid_pretrains_once_and_writes_the_same_files(tmp_path, monk
         files = {path: path.read_bytes() for path in sorted((tmp_path / "out").rglob("*"))
                  if path.is_file()}
         assert len(files) == 1 + 2 * 6
-        return [r.status for r in records], files
+        return [r.summary["status"] for r in records], files
 
     shared = grid_files()
     assert len(trainings) == 1
@@ -147,11 +160,11 @@ def test_grid_pda_threshold_sweep(tmp_path):
     records = run_grid(fast_cfg(tmp_path=tmp_path), "pda_threshold")
     names = [r.summary["grid_point"] for r in records]
     assert names == ["t0", "t1", "t2", "t5", "t10", "t14", "t20", "t30"]
-    assert all(r.mode == "pda" for r in records)
+    assert all(r.summary["mode"] == "pda" for r in records)
     # FAST's target holds 36 samples: t30 is reachable but never met, so the
     # point stops incomplete, with both files, instead of failing.
     t30 = records[-1]
-    assert t30.status == "incomplete"
+    assert t30.summary["status"] == "incomplete"
     assert "key 'train.pda_threshold'" in t30.summary["error"]
     assert (t30.out_dir / "summary.json").exists() and (t30.out_dir / "epochs.csv").exists()
     assert "t30,incomplete," in (tmp_path / "out" / "pda_threshold" / "grid_summary.csv").read_text()
@@ -167,14 +180,14 @@ def test_grid_summary_reparseable(tmp_path):
 
 def test_grid_shares_seed_and_data(tmp_path):
     records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
-    assert len({r.seed for r in records}) == 1
+    assert len({r.summary["seed"] for r in records}) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_continues_past_failures(tmp_path):
     records = run_grid(fast_cfg("schedule.eta0 = 1e300\n", tmp_path=tmp_path),
                        "beta_variant")
-    assert all(r.status in ("incomplete", "failed") for r in records)
+    assert all(r.summary["status"] in ("incomplete", "failed") for r in records)
     assert len(records) == 4
 
 
@@ -185,9 +198,16 @@ def test_grid_marks_package_errors_failed_and_propagates_others(tmp_path, monkey
         return run
 
     monkeypatch.setattr(runner, "run_experiment", raising(MissingClassError("no class 2")))
-    records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
-    assert [r.status for r in records] == ["failed"] * 4
+    cfg = fast_cfg(tmp_path=tmp_path)
+    records = run_grid(cfg, "beta_variant")
+    assert [r.summary["status"] for r in records] == ["failed"] * 4
     assert records[0].summary["error"] == "no class 2"
+    # a failed point's summary has the head of every other run's summary
+    for rec in records:
+        point_cfg = replace(cfg, beta_variant=rec.summary["grid_point"])
+        assert rec.report is None
+        assert (rec.summary["mode"], rec.summary["seed"], rec.summary["config_hash"]) == (
+            "uda", cfg.seed, config_hash(point_cfg))
     cfg_path = tmp_path / "grid.cfg"
     cfg_path.write_text(FAST + f"outputs = {tmp_path / 'cli_grid'}\n")
     assert main(["grid", str(cfg_path), "--axis", "beta_variant"]) == EXIT_DIVERGED
@@ -233,11 +253,11 @@ def test_grid_pda_threshold_from_a_pda_config(tmp_path):
     # does. Both grids write to the same place, so their config hashes agree.
     def grid_files(mode):
         records = run_grid(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path), "pda_threshold")
-        assert [r.mode for r in records] == ["pda"] * len(runner.PDA_THRESHOLD_SWEEP)
+        assert [r.summary["mode"] for r in records] == ["pda"] * len(runner.PDA_THRESHOLD_SWEEP)
         files = {path: path.read_bytes() for path in (tmp_path / "out").rglob("*")
                  if path.is_file()}
-        assert len(files) == 1 + 2 * sum(r.status != "failed" for r in records)
-        return [r.status for r in records], files
+        assert len(files) == 1 + 2 * sum(r.summary["status"] != "failed" for r in records)
+        return [r.summary["status"] for r in records], files
 
     assert grid_files("pda") == grid_files("uda")
 
@@ -245,7 +265,6 @@ def test_grid_pda_threshold_from_a_pda_config(tmp_path):
 @pytest.mark.parametrize("mode", MODES)
 def test_run_records_the_config_mode(tmp_path, mode):
     rec = run_experiment(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path))
-    assert rec.mode == mode
     assert rec.summary["mode"] == mode
     assert read_summary(rec.out_dir / "summary.json")["mode"] == mode
 
@@ -360,7 +379,7 @@ def test_collapsed_batch_128_run_reports_collapsed(tmp_path):
     assert summary["status"] == "collapsed"
     assert summary["final_target_accuracy"] == 0.25
     rec = run_experiment(parse_config(text))
-    assert rec.status == "collapsed"
+    assert rec.summary["status"] == "collapsed"
     assert sorted(rec.report.final_prediction_counts) == [0, 0, 0, 200]
     assert rec.report.final_admissible_classes == 4
 
@@ -377,11 +396,15 @@ def test_collapse_needs_two_admissible_classes():
 
 
 def test_cli_fig1_subcommand(tmp_path):
+    # a fig1 run is `probadapt run` on a fig1 document; there is no fig1 subcommand
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(FAST + f"outputs = {tmp_path / 'cli_fig1'}\n")
-    assert main(["fig1", str(cfg_path)]) == EXIT_OK
+    cfg_path.write_text(FAST + f"mode = fig1\noutputs = {tmp_path / 'cli_fig1'}\n")
+    assert main(["run", str(cfg_path)]) == EXIT_OK
     summary = read_summary(tmp_path / "cli_fig1" / "summary.json")
     assert summary["mode"] == "fig1"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig1", str(cfg_path)])
+    assert exc.value.code == 2
 
 
 def test_cli_grid_subcommand(tmp_path):

@@ -486,7 +486,7 @@ def test_unlabeled_dataset_has_no_label_accessor():
 def test_train_rejects_empty_domain():
     cfg = fast_cfg()
     params, pair = pretrained_and_pair(cfg)
-    empty_target = UnlabeledDataset(pair.target.inputs[:0], pair.target.class_count)
+    empty_target = UnlabeledDataset(pair.target.inputs[:0])
     broken = UdaPair(source=pair.source, target=empty_target, eval_labels=pair.eval_labels[:0])
     with pytest.raises(ContractViolationError):
         train(params, broken, cfg)

@@ -2,21 +2,22 @@
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
 
-Runs a fixed set of pipelines through ``probadapt.cli`` in each checkout,
-with that checkout's ``src`` first on ``PYTHONPATH`` and
-``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory. Each run's config is
-a benchmark workload's config, built by the checkout's own
-``perfbench/workloads.py`` from its ``configs/example.cfg``, with a few lines
-replaced:
+Runs a fixed set of 31 pipelines (each grid point counts as one) through
+``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
+``PYTHONPATH`` and ``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory.
+Each run's config is a benchmark workload's config, built by the checkout's
+own ``perfbench/workloads.py`` from its ``configs/example.cfg``, with a few
+lines replaced:
 
 - the example as ``uda``, ``pda`` and ``fig1``
 - ``uda`` with ``lambda2_a`` and ``lambda3_a`` at 0
+- ``uda`` with ``eta0`` at 1e300, which diverges and is reported incomplete
 - the ``uda_large_batch`` workload's config on seeds 0, 1 and 2
 - the ``components``, ``beta_variant``, ``penalty_variant`` and
   ``pda_threshold`` grids
 
 It then compares every ``summary.json``, ``epochs.csv`` and
-``grid_summary.csv`` byte for byte. For each file that differs it names the
+``grid_summary.csv``, 66 files, byte for byte. For each file that differs it names the
 differing ``summary.json`` keys or the differing CSV line numbers. The exit
 status is 1 if any file differs or exists on one side only. Standard library
 only.
@@ -46,6 +47,7 @@ RUNS = (
     ("fig1", ("run",), "uda_default", 0, {"mode": "fig1"}),
     ("uda_zero_amplitudes", ("run",), "uda_default", 0,
      {"schedule.lambda2_a": "0.0", "schedule.lambda3_a": "0.0"}),
+    ("uda_diverged", ("run",), "uda_default", 0, {"schedule.eta0": "1e300"}),
     *((f"uda_large_batch_seed{seed}", ("run",), "uda_large_batch", seed, {})
       for seed in (0, 1, 2)),
     *((f"grid_{axis}", ("grid", "--axis", axis), "uda_default", 0, {})
