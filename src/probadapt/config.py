@@ -1,99 +1,29 @@
 """Flat key-value experiment configuration: parse, validate, serialise, hash.
 
 The document format is one ``key = value`` pair per line, ``#`` comments, and
-a fixed schema: unknown keys are rejected by name. Serialisation is canonical
-(fixed key order, repr-formatted floats), so the config hash is stable under
-reordering of the input document. :class:`ExperimentConfig` is the one run
-configuration the trainer and runner read; it validates itself on
+a fixed schema: unknown keys are rejected by name. Each key is declared once,
+as a field of :class:`ExperimentConfig` that holds its key, default and
+constraint; the field's type names its value kind (parser, type check,
+canonical format), and :data:`SCHEMA` is derived from the fields. Serialisation
+is canonical (field order, repr-formatted floats), so the config hash is stable
+under reordering of the input document. :class:`ExperimentConfig` is the one
+run configuration the trainer and runner read; it validates itself on
 construction, so a parsed document, a programmatic config and a
 ``dataclasses.replace`` copy pass the same checks, and it is frozen, so no
 later assignment can bypass them.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 from .data import PROBE_MIN_SAMPLES
 from .errors import ConfigError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 
 MODES = ("uda", "pda", "fig1")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: str = "uda"
-    seed: int = 0
-    outputs: str = "runs/default"
-    # generator
-    input_dim: int = 6
-    pretrain_classes: int = 16
-    task_classes: int = 4
-    samples_per_class: int = 50
-    rotation: float = math.pi / 4
-    translation: tuple[float, ...] = ()
-    noise_scale: float = 0.32
-    target_class_count: int | None = None
-    # schedules
-    eta0: float = 0.0075
-    tau: float = 3e-4
-    upsilon: float = 0.75
-    head_lr_multiplier: float = 10.0
-    lambda1: float = 1.0
-    lambda2_a: float = 1.0
-    lambda3_a: float = 0.25
-    delta: float = 10.0
-    # training
-    epochs: int = 20
-    batch_size: int = 16
-    cgi_updates_backbone: bool = False
-    beta_variant: str = "exp_neg_kl"
-    penalty_variant: str = "CGI"
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    label_smoothing: float = 0.1
-    pda_threshold: int = 14
-    # pretraining stand-in
-    pretrain_epochs: int = 30
-    pretrain_lr: float = 0.05
-
-    def __post_init__(self):
-        for key, (attr, parser, check) in SCHEMA.items():
-            value = getattr(self, attr)
-            try:
-                value = _AS_PARSED[parser](value)
-            except TypeError as exc:
-                raise ConfigError(f"key {key!r}: value {value!r} is not {exc}") from None
-            # Stored as the parser would produce it (an int given for a float
-            # key becomes a float), so serialisation and the hash match the
-            # parsed document's.
-            object.__setattr__(self, attr, value)
-            if check is not None and not check(value):
-                raise ConfigError(f"key {key!r}: value {value!r} violates its constraint")
-        if self.task_classes > self.pretrain_classes:
-            raise ConfigError("key 'generator.task_classes': must not exceed pretrain_classes")
-        if self.target_class_count is not None and not (
-                1 <= self.target_class_count <= self.task_classes):
-            raise ConfigError("key 'generator.target_class_count': out of range")
-        if self.translation and len(self.translation) != self.input_dim:
-            raise ConfigError(
-                "key 'generator.translation': length must equal generator.input_dim")
-        # Every run probes the domain gap between source and target; the
-        # target is the smaller domain.
-        target_samples = (self.target_class_count or self.task_classes) * self.samples_per_class
-        if target_samples < PROBE_MIN_SAMPLES:
-            raise ConfigError(
-                f"key 'generator.samples_per_class': the target domain holds {target_samples} "
-                f"samples, the domain-gap probe needs at least {PROBE_MIN_SAMPLES}")
-        # No class can be predicted for more target samples than there are.
-        if self.mode == "pda" and self.pda_threshold > target_samples:
-            raise ConfigError(
-                f"key 'train.pda_threshold': {self.pda_threshold} exceeds the "
-                f"{target_samples} target samples, so every class would fall below it")
 
 
 def _parse_bool(text: str) -> bool:
@@ -154,68 +84,125 @@ def _reals(value) -> tuple[float, ...]:
         raise TypeError("a sequence of finite numbers") from None
 
 
-def _optional(as_type):
-    return lambda value: None if value is None else as_type(value)
+class _Kind(NamedTuple):
+    parse: Callable  # document text -> value (ValueError)
+    # programmatic value -> the value as ``parse`` would produce it (TypeError
+    # naming the type); every float must be finite, parsed or not
+    as_parsed: Callable
+    format: Callable  # value -> canonical document text
 
 
-# Schema parser -> the check that a programmatic value has the parser's
-# result type, returning it as the parser would (TypeError naming the type).
-# Every float must be finite: a parsed "nan" or "inf" is refused here too.
-_AS_PARSED = {
-    int: _integer,
-    float: _real,
-    str: _string,
-    _parse_bool: _boolean,
-    _parse_floats: _reals,
-    _parse_optional_int: _optional(_integer),
+# A field's declared type -> its value kind.
+_KINDS = {
+    int: _Kind(int, _integer, str),
+    float: _Kind(float, _real, repr),
+    str: _Kind(str, _string, str),
+    bool: _Kind(_parse_bool, _boolean, lambda v: "true" if v else "false"),
+    tuple[float, ...]: _Kind(_parse_floats, _reals, lambda v: ",".join(map(repr, v))),
+    int | None: _Kind(_parse_optional_int, lambda v: None if v is None else _integer(v),
+                      lambda v: "none" if v is None else str(v)),
 }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    return str(value)
+def _key(key: str, default, check=None):
+    """A config field: its document key, its default and its constraint."""
+    return field(default=default, metadata={"key": key, "check": check})
 
 
-# key -> (attribute, parser, validator or None)
-SCHEMA: dict[str, tuple[str, object, object]] = {
-    "mode": ("mode", str, lambda v: v in MODES),
-    "seed": ("seed", int, None),
-    "outputs": ("outputs", str, None),
-    "generator.input_dim": ("input_dim", int, lambda v: v >= 2),
-    "generator.pretrain_classes": ("pretrain_classes", int, lambda v: v >= 2),
-    "generator.task_classes": ("task_classes", int, lambda v: v >= 2),
+def _one_line(text: str) -> bool:
+    """Whether ``key = text`` reads back as ``text``: no comment, no line
+    break, no surrounding whitespace."""
+    return "#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    mode: str = _key("mode", "uda", lambda v: v in MODES)
+    seed: int = _key("seed", 0)
+    outputs: str = _key("outputs", "runs/default", _one_line)
+    # generator
+    input_dim: int = _key("generator.input_dim", 6, lambda v: v >= 2)
+    pretrain_classes: int = _key("generator.pretrain_classes", 16, lambda v: v >= 2)
+    task_classes: int = _key("generator.task_classes", 4, lambda v: v >= 2)
     # two per class: the source splits into a prototype half and a training half
-    "generator.samples_per_class": ("samples_per_class", int, lambda v: v >= 2),
-    "generator.rotation": ("rotation", float, None),
-    "generator.translation": ("translation", _parse_floats, None),
-    "generator.noise_scale": ("noise_scale", float, lambda v: v >= 0),
-    "generator.target_class_count": ("target_class_count", _parse_optional_int, None),
-    "schedule.eta0": ("eta0", float, lambda v: v > 0),
-    "schedule.tau": ("tau", float, lambda v: v >= 0),
-    "schedule.upsilon": ("upsilon", float, lambda v: v > 0),
-    "schedule.head_lr_multiplier": ("head_lr_multiplier", float, lambda v: v > 0),
-    "schedule.lambda1": ("lambda1", float, lambda v: v >= 0),
-    "schedule.lambda2_a": ("lambda2_a", float, lambda v: v >= 0),
-    "schedule.lambda3_a": ("lambda3_a", float, lambda v: v >= 0),
-    "schedule.delta": ("delta", float, lambda v: v > 0),
-    "train.epochs": ("epochs", int, lambda v: v >= 1),
-    "train.batch_size": ("batch_size", int, lambda v: v >= 1),
-    "train.cgi_updates_backbone": ("cgi_updates_backbone", _parse_bool, None),
-    "train.beta_variant": ("beta_variant", str, lambda v: v in BETA_VARIANTS),
-    "train.penalty_variant": ("penalty_variant", str, lambda v: v in PENALTY_VARIANTS),
-    "train.momentum": ("momentum", float, lambda v: 0 <= v < 1),
-    "train.weight_decay": ("weight_decay", float, lambda v: v >= 0),
-    "train.label_smoothing": ("label_smoothing", float, lambda v: 0 <= v < 1),
-    "train.pda_threshold": ("pda_threshold", int, lambda v: v >= 0),
-    "pretrain.epochs": ("pretrain_epochs", int, lambda v: v >= 0),
-    "pretrain.lr": ("pretrain_lr", float, lambda v: v > 0),
+    samples_per_class: int = _key("generator.samples_per_class", 50, lambda v: v >= 2)
+    rotation: float = _key("generator.rotation", math.pi / 4)
+    translation: tuple[float, ...] = _key("generator.translation", ())
+    noise_scale: float = _key("generator.noise_scale", 0.32, lambda v: v >= 0)
+    target_class_count: int | None = _key("generator.target_class_count", None)
+    # schedules
+    eta0: float = _key("schedule.eta0", 0.0075, lambda v: v > 0)
+    tau: float = _key("schedule.tau", 3e-4, lambda v: v >= 0)
+    upsilon: float = _key("schedule.upsilon", 0.75, lambda v: v > 0)
+    head_lr_multiplier: float = _key("schedule.head_lr_multiplier", 10.0, lambda v: v > 0)
+    lambda1: float = _key("schedule.lambda1", 1.0, lambda v: v >= 0)
+    lambda2_a: float = _key("schedule.lambda2_a", 1.0, lambda v: v >= 0)
+    lambda3_a: float = _key("schedule.lambda3_a", 0.25, lambda v: v >= 0)
+    delta: float = _key("schedule.delta", 10.0, lambda v: v > 0)
+    # training
+    epochs: int = _key("train.epochs", 20, lambda v: v >= 1)
+    batch_size: int = _key("train.batch_size", 16, lambda v: v >= 1)
+    cgi_updates_backbone: bool = _key("train.cgi_updates_backbone", False)
+    beta_variant: str = _key("train.beta_variant", "exp_neg_kl", lambda v: v in BETA_VARIANTS)
+    penalty_variant: str = _key("train.penalty_variant", "CGI",
+                                lambda v: v in PENALTY_VARIANTS)
+    momentum: float = _key("train.momentum", 0.9, lambda v: 0 <= v < 1)
+    weight_decay: float = _key("train.weight_decay", 5e-4, lambda v: v >= 0)
+    label_smoothing: float = _key("train.label_smoothing", 0.1, lambda v: 0 <= v < 1)
+    pda_threshold: int = _key("train.pda_threshold", 14, lambda v: v >= 0)
+    # pretraining stand-in
+    pretrain_epochs: int = _key("pretrain.epochs", 30, lambda v: v >= 0)
+    pretrain_lr: float = _key("pretrain.lr", 0.05, lambda v: v > 0)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                value = _KINDS[f.type].as_parsed(value)
+            except TypeError as exc:
+                raise _refused(f.name, f"value {value!r} is not {exc}") from None
+            # Stored as the parser would produce it (an int given for a float
+            # key becomes a float), so serialisation and the hash match the
+            # parsed document's.
+            object.__setattr__(self, f.name, value)
+            check = f.metadata["check"]
+            if check is not None and not check(value):
+                raise _refused(f.name, f"value {value!r} violates its constraint")
+        if self.task_classes > self.pretrain_classes:
+            raise _refused("task_classes", "must not exceed pretrain_classes")
+        if self.target_class_count is not None and not (
+                1 <= self.target_class_count <= self.task_classes):
+            raise _refused("target_class_count", "out of range")
+        if self.translation and len(self.translation) != self.input_dim:
+            raise _refused("translation", f"length must equal {_key_of('input_dim')}")
+        # Every run probes the domain gap between source and target; the
+        # target is the smaller domain.
+        target_samples = (self.target_class_count or self.task_classes) * self.samples_per_class
+        if target_samples < PROBE_MIN_SAMPLES:
+            raise _refused(
+                "samples_per_class", f"the target domain holds {target_samples} samples, "
+                f"the domain-gap probe needs at least {PROBE_MIN_SAMPLES}")
+        # No class can be predicted for more target samples than there are.
+        if self.mode == "pda" and self.pda_threshold > target_samples:
+            raise _refused(
+                "pda_threshold", f"{self.pda_threshold} exceeds the {target_samples} "
+                "target samples, so every class would fall below it")
+
+
+def _key_of(attr: str) -> str:
+    return ExperimentConfig.__dataclass_fields__[attr].metadata["key"]
+
+
+def _refused(attr: str, message: str) -> ConfigError:
+    """The configuration error for field ``attr``, naming its document key."""
+    return ConfigError(f"key {_key_of(attr)!r}: {message}")
+
+
+# key -> (attribute, parser, constraint or None), in field order; a field whose
+# declared type has no kind fails here, at import.
+SCHEMA: dict[str, tuple[str, object, object]] = {
+    f.metadata["key"]: (f.name, _KINDS[f.type].parse, f.metadata["check"])
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -246,7 +233,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical document: every key in schema order."""
-    lines = [f"{key} = {_fmt(getattr(cfg, attr))}" for key, (attr, _, _) in SCHEMA.items()]
+    lines = [f"{f.metadata['key']} = {_KINDS[f.type].format(getattr(cfg, f.name))}"
+             for f in fields(cfg)]
     return "\n".join(lines) + "\n"
 
 

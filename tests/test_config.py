@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -62,10 +62,37 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_round_trip():
-    cfg = parse_config("mode = pda\nseed = 3\ngenerator.rotation = 0.5\n"
+    # one key of every value kind off its default; an output path may hold
+    # spaces and "="
+    cfg = parse_config("mode = pda\nseed = 3\noutputs = runs/a b=c\ngenerator.rotation = 0.5\n"
                        "generator.translation = 0.1,0.2,0.3,0.4,0.5,0.6\n"
-                       "generator.target_class_count = 2\n")
+                       "generator.target_class_count = 2\n"
+                       "train.cgi_updates_backbone = true\ntrain.beta_variant = max_prob\n")
+    assert cfg.cgi_updates_backbone is True and cfg.beta_variant == "max_prob"
+    assert cfg.outputs == "runs/a b=c"
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_schema_has_one_entry_per_field_in_field_order():
+    # The canonical serialisation, and so every config hash, follows this order.
+    assert [attr for attr, _, _ in SCHEMA.values()] == [f.name for f in fields(ExperimentConfig)]
+    assert len(SCHEMA) == 30
+    assert list(SCHEMA) == [line.split(" = ", 1)[0]
+                            for line in serialize_config(ExperimentConfig()).splitlines()]
+
+
+# Output paths a "key = value" line cannot carry: a comment, a line break or
+# surrounding whitespace would read back as another config, or not at all.
+UNWRITABLE_OUTPUTS = ["runs/a#b", "runs/a\nseed = 5", "runs/a\r", "runs/a\u2028b",
+                      " runs/a", "runs/a\t"]
+
+
+@pytest.mark.parametrize("outputs", UNWRITABLE_OUTPUTS)
+def test_outputs_the_document_cannot_carry_names_key(outputs):
+    with pytest.raises(ConfigError, match="key 'outputs'"):
+        ExperimentConfig(outputs=outputs)
+    with pytest.raises(ConfigError, match="key 'outputs'"):
+        replace(ExperimentConfig(), outputs=outputs)
 
 
 def test_round_trip_defaults():

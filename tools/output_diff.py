@@ -2,7 +2,7 @@
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
 
-Runs a fixed set of 31 pipelines (each grid point counts as one) through
+Runs a fixed set of 32 pipelines (each grid point counts as one) through
 ``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
 ``PYTHONPATH`` and ``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory.
 Each run's config is a benchmark workload's config, built by the checkout's
@@ -12,12 +12,15 @@ lines replaced:
 - the example as ``uda``, ``pda`` and ``fig1``
 - ``uda`` with ``lambda2_a`` and ``lambda3_a`` at 0
 - ``uda`` with ``eta0`` at 1e300, which diverges and is reported incomplete
+- ``uda`` with a translation, three target classes and
+  ``cgi_updates_backbone`` on, so that every value kind of the config is off
+  its default in some run
 - the ``uda_large_batch`` workload's config on seeds 0, 1 and 2
 - the ``components``, ``beta_variant``, ``penalty_variant`` and
   ``pda_threshold`` grids
 
 It then compares every ``summary.json``, ``epochs.csv`` and
-``grid_summary.csv``, 66 files, byte for byte. For each file that differs it names the
+``grid_summary.csv``, 68 files, byte for byte. For each file that differs it names the
 differing ``summary.json`` keys or the differing CSV line numbers. The exit
 status is 1 if any file differs or exists on one side only. Standard library
 only.
@@ -48,6 +51,9 @@ RUNS = (
     ("uda_zero_amplitudes", ("run",), "uda_default", 0,
      {"schedule.lambda2_a": "0.0", "schedule.lambda3_a": "0.0"}),
     ("uda_diverged", ("run",), "uda_default", 0, {"schedule.eta0": "1e300"}),
+    ("uda_off_defaults", ("run",), "uda_default", 0,
+     {"generator.translation": "0.5,0.5,0.5,0.5,0.5,0.5",
+      "generator.target_class_count": "3", "train.cgi_updates_backbone": "true"}),
     *((f"uda_large_batch_seed{seed}", ("run",), "uda_large_batch", seed, {})
       for seed in (0, 1, 2)),
     *((f"grid_{axis}", ("grid", "--axis", axis), "uda_default", 0, {})
