@@ -40,7 +40,7 @@ p_tilde = L.transform_probability(p_g_t, prototype)
 print("\ntransformed target probabilities:\n", p_tilde)
 
 p_h = np.array([[0.9, 0.1], [0.4, 0.6]])
-beta = np.array([L.beta_factor(p_tilde[j], p_h[j]) for j in range(2)])
+beta = L.beta_values("exp_neg_kl", p_h, p_tilde).ravel()
 print("calibration factors:", beta)
 
 # --- the calibrated penalty and its gradient ---------------------------------

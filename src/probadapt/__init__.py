@@ -13,11 +13,11 @@ from .data import (DomainDataset, PretrainTask, UdaPair, UnlabeledDataset, accur
                    make_pretrain_task, make_uda_pair, proxy_a_distance)
 from .errors import (ConfigError, ContractViolationError, DomainError, EmptyPartialSetError,
                      MissingClassError, TrainingDivergedError)
-from .losses import (CgiState, beta_factor, calibration_matrix,
+from .losses import (CgiState, beta_values, calibration_matrix,
                      cgi_gradient_reference, classification_loss, cpa_loss,
                      gini_impurity, js_divergence, pair_distance, prototype_regularizer,
                      pseudo_labels, source_weights, target_weights, transform_probability)
-from .model import (ParamGroups, feature_extract, fig1_analog, head_forward,
+from .model import (ParamGroups, feature_graph, fig1_analog, head_graph,
                     init_params, learn_prototype, predict_proba, pretrain, split_source)
 from .optim import ParamGroup, SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid

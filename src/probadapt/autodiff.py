@@ -26,8 +26,9 @@ plain arrays, which are detached: matmul, add, mul and dense take each
 operand as a Tensor or an array, record no node for an array operand and
 compute no VJP product for it. Both kinds are read in place, so no tape
 input, leaf or array, may change while its tape is in use. A detached copy
-of a tensor is its ``value``. Every primitive needs at least one Tensor
-operand, so it always returns a Tensor.
+of a tensor is its ``value``, and a detached input gives a detached result:
+with array operands only, these four record nothing and return their value
+as an array, so inference runs the training forward with no tape at all.
 
 Most primitives allocate their result and keep the arrays their VJP reads.
 :func:`pair_entropy` is the exception because its (P, c) pair arrays are the
@@ -136,12 +137,10 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def _tape_of(*operands) -> Tape:
-    """The tape of the Tensor operands; array operands are detached and need none."""
+def _tape_of(*operands) -> Tape | None:
+    """The tape of the Tensor operands, or None when all are detached arrays."""
     tensors = [x for x in operands if isinstance(x, Tensor)]
-    if not tensors:
-        raise ContractViolationError("a primitive needs at least one Tensor operand")
-    return _same_tape(*tensors)
+    return _same_tape(*tensors) if tensors else None
 
 
 def _value(x) -> np.ndarray:
@@ -209,18 +208,21 @@ _ACTIVATIONS = {"relu": (_relu_value, _relu_vjp),
                 "row_softmax": (_softmax_value, _softmax_vjp)}
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
+    value = _matmul_value(av, bv)
+    if tape is None:
+        return value
     need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return _matmul_vjp(g, av, bv, need_a, need_b)
 
-    return Tensor(_matmul_value(av, bv), tape, "matmul", (a, b), vjp)
+    return Tensor(value, tape, "matmul", (a, b), vjp)
 
 
-def add(a, b) -> Tensor:
+def add(a, b) -> Tensor | np.ndarray:
     """Elementwise addition with numpy broadcasting.
 
     Covers the bias-add case (1 x c row broadcast over a batch) as well as
@@ -228,13 +230,16 @@ def add(a, b) -> Tensor:
     """
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
+    value = _add_value(av, bv)
+    if tape is None:
+        return value
     ash, bsh = av.shape, bv.shape
     need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):
         return _add_vjp(g, ash, bsh, need_a, need_b)
 
-    return Tensor(_add_value(av, bv), tape, "add_bias", (a, b), vjp)
+    return Tensor(value, tape, "add_bias", (a, b), vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -258,14 +263,15 @@ def row_softmax(x: Tensor) -> Tensor:
     return Tensor(s, x.tape, "row_softmax", (x,), vjp)
 
 
-def dense(x, w, b, activation: str) -> Tensor:
+def dense(x, w, b, activation: str) -> Tensor | np.ndarray:
     """``activation(x @ w + b)`` in one node; ``activation`` is "relu" or
     "row_softmax".
 
     Forward and VJP run the numpy operations of the composite
     ``activation(add(matmul(x, w), b))`` in the same order, through the
     helpers those primitives use, so value and gradients equal it bit for
-    bit. As in matmul and add, an array operand gets no VJP product.
+    bit. As in matmul and add, an array operand gets no VJP product, and
+    with array operands only the value is returned as an array.
     """
     if activation not in _ACTIVATIONS:
         raise ContractViolationError(f"unknown dense activation {activation!r}")
@@ -275,6 +281,8 @@ def dense(x, w, b, activation: str) -> Tensor:
     xw = _matmul_value(xv, wv)
     z = _add_value(xw, bv)
     value = act_value(z)
+    if tape is None:
+        return value
     xwsh, bsh = xw.shape, bv.shape
     need_x, need_w, need_b = (isinstance(t, Tensor) for t in (x, w, b))
 
@@ -296,7 +304,7 @@ def log(x: Tensor) -> Tensor:
     return Tensor(np.log(xv), x.tape, "elementwise_log", (x,), vjp)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b) -> Tensor | np.ndarray:
     tape = _tape_of(a, b)
     av, bv = _value(a), _value(b)
     ash, bsh = av.shape, bv.shape
@@ -304,6 +312,8 @@ def mul(a, b) -> Tensor:
         value = av * bv
     except ValueError as exc:
         raise ContractViolationError(f"mul shapes {ash} * {bsh}: {exc}") from exc
+    if tape is None:
+        return value
     need_a, need_b = isinstance(a, Tensor), isinstance(b, Tensor)
 
     def vjp(g):

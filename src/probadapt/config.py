@@ -118,7 +118,8 @@ def _one_line(text: str) -> bool:
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = _key("mode", "uda", lambda v: v in MODES)
-    seed: int = _key("seed", 0)
+    # rng_for reads the seed modulo 2**64: outside this range two seeds share streams
+    seed: int = _key("seed", 0, lambda v: 0 <= v < 2**64)
     outputs: str = _key("outputs", "runs/default", _one_line)
     # generator
     input_dim: int = _key("generator.input_dim", 6, lambda v: v >= 2)

@@ -133,13 +133,9 @@ def transform_probability(p_g_t: np.ndarray, prototype: np.ndarray) -> np.ndarra
     return e / e.sum(axis=1, keepdims=True)
 
 
-def beta_factor(p_tilde_row: np.ndarray, p_h_row: np.ndarray) -> float:
-    """exp(-KL(p_tilde || p_h)): 1 when the two agree, decaying toward 0."""
-    return float(np.exp(-_kl_rows(np.atleast_2d(p_tilde_row), np.atleast_2d(p_h_row))[0]))
-
-
 def beta_values(variant: str, p_h: np.ndarray, p_tilde: np.ndarray) -> np.ndarray:
-    """Per-sample calibration factors, shape (n, 1)."""
+    """Per-sample calibration factors in (0, 1], shape (n, 1); ``exp_neg_kl`` is
+    exp(-KL(p_tilde || p_h)) per row, 1 where the two heads agree."""
     p_h = np.atleast_2d(p_h)
     if variant == "constant_half":
         return np.full((len(p_h), 1), 0.5)

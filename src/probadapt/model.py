@@ -71,9 +71,10 @@ def init_params(input_dim: int, pretrain_classes: int, task_classes: int, seed: 
     return ParamGroups(ParamGroup(theta), ParamGroup(theta_g), ParamGroup(theta_h))
 
 
-def feature_graph(theta: dict[str, Tensor], x) -> Tensor:
-    """Taped forward through the extractor: relu(x W + b) per layer. ``x`` is
-    a Tensor or, for an input batch, a detached array."""
+def feature_graph(theta: dict, x) -> Tensor | np.ndarray:
+    """Forward through the extractor: relu(x W + b) per layer. ``x`` is a
+    Tensor or, for an input batch, a detached array. On parameter leaves the
+    result is taped; on the parameter arrays themselves it is a plain array."""
     n_layers = len(theta) // 2
     h = x
     for i in range(1, n_layers + 1):
@@ -81,8 +82,9 @@ def feature_graph(theta: dict[str, Tensor], x) -> Tensor:
     return h
 
 
-def head_graph(head: dict[str, Tensor], features) -> Tensor:
-    """Taped dense layer + row softmax; ``features`` is a Tensor or a detached array."""
+def head_graph(head: dict, features) -> Tensor | np.ndarray:
+    """Dense layer + row softmax, taped or plain as in :func:`feature_graph`;
+    rows sum to 1."""
     return ad.dense(features, head["w"], head["b"], "row_softmax")
 
 
@@ -113,37 +115,12 @@ def descend(params: ParamGroups, states: dict[str, SgdState], rates: dict[str, f
     sgd_step([(params.group(group), g, states[group], rates[group]) for group, g in total.items()])
 
 
-def feature_extract(theta: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Plain-value feature extraction (throwaway tape)."""
-    x = np.asarray(x, dtype=np.float64)
-    expected = next(iter(theta.values())).shape[0]
-    if x.shape[1] != expected:
-        raise ContractViolationError(f"input width {x.shape[1]} != extractor width {expected}")
-    tape = Tape()
-    features = feature_graph(leaves_for(tape, theta), x).value
-    tape.nodes.clear()
-    return features
-
-
-def head_forward(head: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
-    """Plain-value head probabilities; rows sum to 1."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[1] != head["w"].shape[0]:
-        raise ContractViolationError(
-            f"feature width {features.shape[1]} != head width {head['w'].shape[0]}")
-    tape = Tape()
-    probs = head_graph(leaves_for(tape, head), features).value
-    tape.nodes.clear()
-    return probs
-
-
 def predict_proba(params: ParamGroups, head: str, x: np.ndarray) -> np.ndarray:
     """Probabilities of ``head`` ("task" or "pretrained") on raw inputs."""
     if head not in ("task", "pretrained"):
         raise ContractViolationError(f"unknown head {head!r}; expected 'task' or 'pretrained'")
-    feats = feature_extract(params.theta, x)
     group = params.theta_h if head == "task" else params.theta_g
-    return head_forward(group, feats)
+    return head_graph(group, feature_graph(params.theta, x))
 
 
 # The last pretraining that finished in this process: (key, trained groups).
@@ -254,10 +231,10 @@ def fig1_analog(params: ParamGroups, source: DomainDataset, target: UnlabeledDat
 
     Both probes share the same seed so the two distances are comparable.
     """
-    f_s = feature_extract(params.theta, source.inputs)
-    f_t = feature_extract(params.theta, target.inputs)
+    f_s = feature_graph(params.theta, source.inputs)
+    f_t = feature_graph(params.theta, target.inputs)
     return {
         "feature_distance": proxy_a_distance(f_s, f_t, seed),
-        "probability_distance": proxy_a_distance(head_forward(params.theta_g, f_s),
-                                                 head_forward(params.theta_g, f_t), seed),
+        "probability_distance": proxy_a_distance(head_graph(params.theta_g, f_s),
+                                                 head_graph(params.theta_g, f_t), seed),
     }

@@ -1,4 +1,6 @@
-"""Built-in invariant checks runnable from the CLI without pytest."""
+"""Built-in invariant checks runnable from the CLI without pytest.
+
+Each check calls the functions the pipeline runs, not copies of them."""
 
 from __future__ import annotations
 
@@ -19,33 +21,44 @@ def _random_probs(rng, n, c):
     return losses.clamp_probs(rng.dirichlet(np.ones(c), size=n))
 
 
-def _check_softmax_rows(rng):
-    x = rng.normal(0, 3, size=(6, 5))
-    tape = Tape()
-    s = ad.row_softmax(tape.leaf(x)).value
+def _check_dense_softmax_rows(rng):
+    x, w, b = rng.normal(0, 3, size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=(1, 5))
+    s = ad.dense(x, w, b, "row_softmax")
     return np.all(np.abs(s.sum(axis=1) - 1.0) < 1e-12) and np.all(s > 0)
 
 
-def _check_js_identity(rng):
-    for _ in range(50):
-        p = _random_probs(rng, 1, 6)[0]
-        q = _random_probs(rng, 1, 6)[0]
-        lhs = losses.js_divergence(p, q)
-        rhs = (0.5 * float(np.sum(p * np.log(p))) + 0.5 * float(np.sum(q * np.log(q)))
-               + losses.pair_distance(p, q) + math.log(2.0))
-        if abs(lhs - rhs) > 1e-10:
+def _pair_entropy(a, b, weights):
+    tape = Tape()
+    return ad.pair_entropy(tape.leaf(a), tape.leaf(b), weights).item()
+
+
+def _check_pair_entropy_sum(rng):
+    for _ in range(20):
+        a, b = _random_probs(rng, 3, 5), _random_probs(rng, 4, 5)
+        w = rng.random((3, 4)) * (rng.random((3, 4)) > 0.3)
+        want = math.fsum(w[i, j] * losses.pair_distance(a[i], b[j])
+                         for i in range(3) for j in range(4))
+        if not math.isclose(_pair_entropy(a, b, w), want, rel_tol=1e-12, abs_tol=1e-12):
             return False
     return True
 
 
-def _check_beta_bounds(rng):
-    for _ in range(200):
-        p = _random_probs(rng, 1, 4)[0]
-        q = _random_probs(rng, 1, 4)[0]
-        b = losses.beta_factor(p, q)
-        if not (0.0 < b <= 1.0):
+def _check_pair_entropy_symmetry(rng):
+    for _ in range(20):
+        a, b = _random_probs(rng, 3, 5), _random_probs(rng, 4, 5)
+        w = rng.random((3, 4))
+        if not math.isclose(_pair_entropy(a, b, w), _pair_entropy(b, a, w.T), rel_tol=1e-12):
             return False
-    return abs(losses.beta_factor(p, p) - 1.0) < 1e-12
+    return True
+
+
+def _check_beta_values(rng):
+    p_h, p_tilde = _random_probs(rng, 200, 4), _random_probs(rng, 200, 4)
+    for variant in losses.BETA_VARIANTS:
+        beta = losses.beta_values(variant, p_h, p_tilde)
+        if beta.shape != (200, 1) or not np.all((beta > 0.0) & (beta <= 1.0)):
+            return False
+    return np.all(losses.beta_values("exp_neg_kl", p_h, p_h) == 1.0)
 
 
 def _check_cgi_degenerates(rng):
@@ -126,25 +139,16 @@ def _check_schedules(rng):
     return ok
 
 
-def _check_pair_distance_symmetry(rng):
-    for _ in range(50):
-        p = _random_probs(rng, 1, 5)[0]
-        q = _random_probs(rng, 1, 5)[0]
-        if losses.pair_distance(p, q) != losses.pair_distance(q, p):
-            return False
-    return True
-
-
 CHECKS = (
-    ("row_softmax rows sum to one", _check_softmax_rows),
-    ("js identity vs pair distance", _check_js_identity),
-    ("beta factor bounds", _check_beta_bounds),
+    ("dense row_softmax rows sum to one", _check_dense_softmax_rows),
+    ("pair entropy equals the weighted pair distances", _check_pair_entropy_sum),
+    ("beta values in (0, 1], exactly 1 where the heads agree", _check_beta_values),
     ("cgi degenerates to gini at beta=1", _check_cgi_degenerates),
     ("loss gradients vs finite differences", _check_gradients),
     ("fused dense and weighted log equal their composites", _check_fused_primitives),
     ("plain sgd step", _check_sgd_plain),
     ("schedule fixed points", _check_schedules),
-    ("pair distance symmetry", _check_pair_distance_symmetry),
+    ("pair entropy symmetric under swapped operands", _check_pair_entropy_symmetry),
 )
 
 

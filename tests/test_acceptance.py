@@ -150,11 +150,11 @@ def test_c05_beta_bounds():
     for _ in range(1000):
         p = rand_probs(rng, 1, 5)[0]
         q = rand_probs(rng, 1, 5)[0]
-        b = L.beta_factor(p, q)
+        b = L.beta_values("exp_neg_kl", q[None], p[None])[0, 0]
         assert 0.0 < b <= 1.0
         assert b < 1.0  # distinct random pairs
     p = rand_probs(rng, 1, 5)[0]
-    assert L.beta_factor(p, p) == 1.0
+    assert L.beta_values("exp_neg_kl", p[None], p[None])[0, 0] == 1.0
     print("\n[PASS] criterion 5: beta in (0, 1], exactly 1 at equality")
 
 

@@ -130,12 +130,20 @@ def test_array_operands_are_read_in_place_with_no_node_and_no_vjp_product():
         assert set(grads) == {t for t in operands if isinstance(t, ad.Tensor)}
 
 
-def test_primitive_without_a_tensor_operand_is_refused():
-    x, w, b = np.ones((2, 3)), np.ones((3, 2)), np.ones((1, 2))
-    for build in (lambda: ad.matmul(x, w), lambda: ad.add(x, x), lambda: ad.mul(x, x),
-                  lambda: ad.dense(x, w, b, "relu")):
-        with pytest.raises(ContractViolationError, match="Tensor operand"):
-            build()
+def test_primitive_with_only_array_operands_returns_an_array():
+    # a detached input gives a detached result: no node, the numpy value itself
+    rng = rng_for(9, "test/array-only")
+    x, w, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+    tape = Tape()
+    tape.leaf(x)
+    z = x @ w + b
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    for got, want in ((ad.matmul(x, w), x @ w), (ad.add(x, x), x + x), (ad.mul(x, x), x * x),
+                      (ad.dense(x, w, b, "relu"), np.maximum(z, 0.0)),
+                      (ad.dense(x, w, b, "row_softmax"), e / e.sum(axis=1, keepdims=True))):
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, want)
+    assert len(tape.nodes) == 1
 
 
 def test_finite_difference_quadratic_is_tight():

@@ -95,6 +95,16 @@ def test_outputs_the_document_cannot_carry_names_key(outputs):
         replace(ExperimentConfig(), outputs=outputs)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_names_key(seed):
+    # the substreams read the seed as 64 bits: -1 would train 2**64 - 1's run, 2**64 seed 0's
+    with pytest.raises(ConfigError, match="key 'seed'"):
+        ExperimentConfig(seed=seed)
+    with pytest.raises(ConfigError, match="key 'seed'"):
+        parse_config(f"seed = {seed}\n")
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_round_trip_defaults():
     cfg = ExperimentConfig()
     assert parse_config(serialize_config(cfg)) == cfg

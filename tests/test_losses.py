@@ -456,13 +456,20 @@ def test_transform_hand_logistic():
 
 # ----------------------------------------------------------------- beta
 
+def exp_neg_kl(p_tilde, p_h) -> float:
+    """The one-row calibration factor exp(-KL(p_tilde || p_h))."""
+    beta = L.beta_values("exp_neg_kl", np.atleast_2d(p_h), np.atleast_2d(p_tilde))
+    assert beta.shape == (1, 1)
+    return float(beta[0, 0])
+
+
 def test_beta_one_when_equal():
     p = np.array([0.3, 0.7])
-    assert L.beta_factor(p, p) == pytest.approx(1.0, abs=1e-12)
+    assert exp_neg_kl(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beta_hand_value():
-    assert L.beta_factor([0.5, 0.5], [0.9, 0.1]) == pytest.approx(0.600, abs=1e-3)
+    assert exp_neg_kl([0.5, 0.5], [0.9, 0.1]) == pytest.approx(0.600, abs=1e-3)
 
 
 def test_beta_bounds_thousand_pairs():
@@ -470,7 +477,7 @@ def test_beta_bounds_thousand_pairs():
     for _ in range(1000):
         p = rand_probs(rng, 1, 4)[0]
         q = rand_probs(rng, 1, 4)[0]
-        b = L.beta_factor(p, q)
+        b = exp_neg_kl(p, q)
         assert 0.0 < b <= 1.0
 
 
@@ -515,7 +522,7 @@ def test_cgi_hand_composition():
     # p_h = [0.9, 0.1], p_tilde = [0.5, 0.5]: beta ~ 0.600, p_m = [0.7, 0.3]
     p_h = np.array([[0.9, 0.1]])
     p_tilde = np.array([[0.5, 0.5]])
-    beta = L.beta_factor(p_tilde[0], p_h[0])
+    beta = exp_neg_kl(p_tilde[0], p_h[0])
     state = L.CgiState(p_tilde=p_tilde, beta=np.array([[beta]]))
     loss = L.target_penalty_loss(leaf(p_h), state, "CGI").item()
     want = beta * 0.18 + (1 - beta) * 0.42

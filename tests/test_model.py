@@ -12,7 +12,7 @@ from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig
 from probadapt.data import make_pretrain_task
 from probadapt.errors import ContractViolationError, MissingClassError, TrainingDivergedError
-from probadapt.model import (feature_extract, head_forward, init_params,
+from probadapt.model import (feature_graph, head_graph, init_params,
                              heldout_accuracy, learn_prototype, predict_proba, pretrain,
                              split_source)
 from probadapt.data import DomainDataset
@@ -30,17 +30,17 @@ def small_labeled(labels, dim=3, class_count=None, seed=0):
 
 def test_zero_weights_give_zero_features():
     theta = {"w1": np.zeros((2, 4)), "b1": np.zeros((1, 4))}
-    assert np.array_equal(feature_extract(theta, [[1.0, -3.0]]), np.zeros((1, 4)))
+    assert np.array_equal(feature_graph(theta, [[1.0, -3.0]]), np.zeros((1, 4)))
 
 
 def test_identity_layer_relu():
     theta = {"w1": np.eye(2), "b1": np.zeros((1, 2))}
-    assert np.array_equal(feature_extract(theta, [[1.0, -1.0]]), [[1.0, 0.0]])
+    assert np.array_equal(feature_graph(theta, [[1.0, -1.0]]), [[1.0, 0.0]])
 
 
 def test_feature_regression_lock_seed0():
     params = init_params(input_dim=3, pretrain_classes=4, task_classes=2, seed=0)
-    f = feature_extract(params.theta, [[0.5, -0.25, 1.0]])
+    f = feature_graph(params.theta, [[0.5, -0.25, 1.0]])
     assert f[0, 1] == pytest.approx(0.10803988, abs=1e-8)
     assert f[0, 3] == pytest.approx(2.89719019, abs=1e-8)
     assert float(f.sum()) == pytest.approx(16.775754966077617, abs=1e-9)
@@ -48,26 +48,26 @@ def test_feature_regression_lock_seed0():
 
 def test_width_mismatch_rejected():
     theta = {"w1": np.eye(2), "b1": np.zeros((1, 2))}
-    with pytest.raises(ContractViolationError):
-        feature_extract(theta, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ContractViolationError, match="matmul shapes"):
+        feature_graph(theta, [[1.0, 2.0, 3.0]])
 
 
 def test_head_zero_logits_uniform():
     head = {"w": np.zeros((4, 3)), "b": np.zeros((1, 3))}
-    probs = head_forward(head, np.ones((2, 4)))
+    probs = head_graph(head, np.ones((2, 4)))
     assert np.allclose(probs, 1.0 / 3.0)
 
 
 def test_head_log2_logits():
     head = {"w": np.zeros((1, 3)), "b": np.array([[math.log(2.0), 0.0, 0.0]])}
-    probs = head_forward(head, np.zeros((1, 1)))
+    probs = head_graph(head, np.zeros((1, 1)))
     assert np.allclose(probs, [[0.5, 0.25, 0.25]], atol=1e-12)
 
 
 def test_head_rows_stochastic():
     rng = rng_for(3, "test/head")
     head = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4))}
-    probs = head_forward(head, rng.normal(size=(10, 5)))
+    probs = head_graph(head, rng.normal(size=(10, 5)))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probadapt import cli, model, runner
+from probadapt import autodiff as ad
+from probadapt import cli, losses, model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import MODES, config_hash, parse_config
 from probadapt.data import make_uda_pair
@@ -14,6 +15,7 @@ from probadapt.errors import ConfigError, ContractViolationError, MissingClassEr
 from probadapt.model import init_params
 from probadapt.trainer import TrainReport, train
 from probadapt.runner import EPOCHS_HEADER, read_grid_summary, run_experiment, run_grid
+from probadapt.selftest import run_selftest
 
 from report_files import read_epochs_csv, read_summary, summary_metrics
 
@@ -395,6 +397,13 @@ def test_collapse_needs_two_admissible_classes():
     assert not runner.collapsed(fast_cfg("generator.target_class_count = 1\n"), one_class)
 
 
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    cfg_path.write_bytes(b"seed = 1  # \xff\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_cli_fig1_subcommand(tmp_path):
     # a fig1 run is `probadapt run` on a fig1 document; there is no fig1 subcommand
     cfg_path = tmp_path / "exp.cfg"
@@ -416,6 +425,29 @@ def test_cli_grid_subcommand(tmp_path):
 
 def test_cli_selftest():
     assert main(["selftest"]) == EXIT_OK
+
+
+BETA_LINE = "beta values in (0, 1], exactly 1 where the heads agree"
+SELFTEST_FAULTS = {
+    "beta above one": (losses, "beta_values", lambda f: lambda *a: f(*a) * 2.0, BETA_LINE),
+    "beta below one where the heads agree":
+        (losses, "beta_values", lambda f: lambda *a: f(*a) * (1.0 - 1e-9), BETA_LINE),
+    "pair entropy of other weights":
+        (ad, "pair_entropy", lambda f: lambda a, b, w: f(a, b, 1.001 * w),
+         "pair entropy equals the weighted pair distances"),
+    "pair entropy that depends on the operand order":
+        (ad, "pair_entropy",
+         lambda f: lambda a, b, w: ad.scalar_affine(f(a, b, w), 1.0, 1e-6 * a.shape[0]),
+         "pair entropy symmetric under swapped operands"),
+}
+
+
+@pytest.mark.parametrize("fault", SELFTEST_FAULTS)
+def test_selftest_checks_the_functions_the_pipeline_runs(fault, monkeypatch, capsys):
+    module, name, wrong, line = SELFTEST_FAULTS[fault]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    assert run_selftest() is False
+    assert f"[FAIL] {line}" in capsys.readouterr().out.splitlines()
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):
