@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>             execute the config's mode pipeline
-  grid <config> --axis A   one run per point of an ablation axis
+  grid <config> --axis A   one run per point (config-key overlay) of a runner.GRID_AXES axis
   selftest                 built-in invariant checks
 
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
@@ -58,11 +58,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         records = ([run_experiment(cfg)] if args.command == "run"
                    else run_grid(cfg, args.axis))
     except ConfigError as exc:

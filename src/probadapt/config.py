@@ -120,7 +120,8 @@ class ExperimentConfig:
     mode: str = _key("mode", "uda", lambda v: v in MODES)
     # rng_for reads the seed modulo 2**64: outside this range two seeds share streams
     seed: int = _key("seed", 0, lambda v: 0 <= v < 2**64)
-    outputs: str = _key("outputs", "runs/default", _one_line)
+    # an empty path would write into the working directory
+    outputs: str = _key("outputs", "runs/default", lambda v: v != "" and _one_line(v))
     # generator
     input_dim: int = _key("generator.input_dim", 6, lambda v: v >= 2)
     pretrain_classes: int = _key("generator.pretrain_classes", 16, lambda v: v >= 2)
@@ -224,12 +225,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, parser, _ = SCHEMA[key]
-        try:
-            values[attr] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: cannot parse {value!r} ({exc})") from exc
+        attr, parsed = parse_value(key, value)
+        values[attr] = parsed
     return ExperimentConfig(**values)
+
+
+def parse_value(key: str, text: str) -> tuple[str, object]:
+    """The attribute of document key ``key`` and the value ``text`` parses to;
+    text that does not parse raises a ConfigError naming the key."""
+    attr, parser, _ = SCHEMA[key]
+    try:
+        return attr, parser(text)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: cannot parse {text!r} ({exc})") from exc
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

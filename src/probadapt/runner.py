@@ -20,10 +20,11 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, parse_value
 from .data import make_pretrain_task, make_uda_pair
 from .errors import (ConfigError, ContractViolationError, EmptyPartialSetError, ProbadaptError,
                      TrainingDivergedError)
+from .losses import BETA_VARIANTS
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import TrainReport, train
 
@@ -31,19 +32,24 @@ OUTPUT_ROOT_ENV = "PROBADAPT_OUTPUT_ROOT"
 
 EPOCHS_HEADER = "epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta"
 
-COMPONENT_GRID = (
-    # (name, lambda2 on, lambda3 on, penalty updates backbone)
-    ("cls_only", False, False, False),
-    ("cls_cpa", True, False, False),
-    ("cls_cgi_backbone", False, True, True),
-    ("cls_cpa_cgi_backbone", True, True, True),
-    ("cls_cgi_head", False, True, False),
-    ("cls_cpa_cgi_head", True, True, False),
-)
-
-PDA_THRESHOLD_SWEEP = (0, 1, 2, 5, 10, 14, 20, 30)
-
-GRID_AXES = ("beta_variant", "penalty_variant", "components", "pda_threshold")
+# axis -> its points in run order, each a name and the document keys it sets,
+# as value text; the components points turn off the terms they lack.
+GRID_AXES = {
+    "beta_variant": tuple((v, {"train.beta_variant": v}) for v in BETA_VARIANTS),
+    "penalty_variant": tuple((v, {"train.penalty_variant": v})
+                             for v in ("GE", "CGE", "GI", "CGI_noreg", "CGI")),
+    "components": (
+        ("cls_only", {"schedule.lambda2_a": "0", "schedule.lambda3_a": "0",
+                      "train.cgi_updates_backbone": "false"}),
+        ("cls_cpa", {"schedule.lambda3_a": "0", "train.cgi_updates_backbone": "false"}),
+        ("cls_cgi_backbone", {"schedule.lambda2_a": "0", "train.cgi_updates_backbone": "true"}),
+        ("cls_cpa_cgi_backbone", {"train.cgi_updates_backbone": "true"}),
+        ("cls_cgi_head", {"schedule.lambda2_a": "0", "train.cgi_updates_backbone": "false"}),
+        ("cls_cpa_cgi_head", {"train.cgi_updates_backbone": "false"}),
+    ),
+    "pda_threshold": tuple((f"t{t}", {"mode": "pda", "train.pda_threshold": str(t)})
+                           for t in (0, 1, 2, 5, 10, 14, 20, 30)),
+}
 
 
 @dataclass
@@ -63,9 +69,7 @@ def resolve_out_dir(cfg: ExperimentConfig, *extra: str) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not out.is_absolute():
         out = Path(root) / out
-    for part in extra:
-        out = out / part
-    return out
+    return out.joinpath(*extra)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -152,42 +156,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
 
 
 def _grid_points(cfg: ExperimentConfig, axis: str):
-    """(name, config) pairs for one ablation axis; all share the base seed."""
-    if axis == "beta_variant":
-        for variant in ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl"):
-            yield variant, replace(cfg, beta_variant=variant)
-    elif axis == "penalty_variant":
-        for variant in ("GE", "CGE", "GI", "CGI_noreg", "CGI"):
-            yield variant, replace(cfg, penalty_variant=variant)
-    elif axis == "components":
-        for name, use_cpa, use_cgi, backbone in COMPONENT_GRID:
-            yield name, replace(cfg, lambda2_a=cfg.lambda2_a if use_cpa else 0.0,
-                                lambda3_a=cfg.lambda3_a if use_cgi else 0.0,
-                                cgi_updates_backbone=backbone)
-    elif axis == "pda_threshold":
-        for threshold in PDA_THRESHOLD_SWEEP:
-            yield f"t{threshold}", replace(cfg, mode="pda", pda_threshold=threshold)
-    else:
-        raise ContractViolationError(f"unknown grid axis {axis!r}")
+    """(name, config) pairs for one ablation axis: the base config with a point's
+    keys parsed and validated as document lines would be; all share the base seed."""
+    for name, overlay in GRID_AXES[axis]:
+        yield name, replace(cfg, **dict(parse_value(key, text) for key, text in overlay.items()))
 
 
 def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
     """One run per grid point under ``<outputs>/<axis>/<point>/``.
 
-    The base config's mode must be ``uda``, or ``pda`` on the
-    ``pda_threshold`` axis: each point sets its own mode (``uda``, or ``pda``
-    on that axis), so any other base mode raises ConfigError before a point
-    runs instead of being silently overridden. Every point is built before
-    the first runs, so a point the config refuses (a threshold above the
-    target's sample count) raises its ConfigError before anything is written.
+    The base config's mode must be ``uda`` or a mode the axis's points set,
+    since a point that sets no mode runs in the base's; any other base mode
+    raises ConfigError before a point runs instead of being silently
+    overridden. Every point is built before the first runs, so a point the
+    config refuses (a threshold above the target's sample count) raises its
+    ConfigError before anything is written.
     A point that raises one of the package's errors is recorded as failed and
     the grid continues; any other exception is a programming error and
     propagates. Writes an aggregated ``grid_summary.csv`` next to the
     per-point directories.
     """
-    if cfg.mode != "uda" and not (cfg.mode == "pda" and axis == "pda_threshold"):
-        raise ConfigError(f"key 'mode': a grid runs from mode uda (or pda on the "
-                          f"pda_threshold axis), not {cfg.mode!r} on {axis!r}")
+    modes = {"uda", *(overlay["mode"] for _, overlay in GRID_AXES[axis] if "mode" in overlay)}
+    if cfg.mode not in modes:
+        raise ConfigError(f"key 'mode': a grid on {axis!r} runs from mode "
+                          f"{' or '.join(sorted(modes))}, not {cfg.mode!r}")
     records = []
     base = resolve_out_dir(cfg, axis)
     for name, point_cfg in list(_grid_points(cfg, axis)):
@@ -213,8 +205,12 @@ def read_grid_summary(path: Path) -> list[dict]:
     if not lines or lines[0] != "point,status,final_target_accuracy":
         raise ContractViolationError(f"unexpected grid summary header in {path}")
     rows = []
-    for ln in lines[1:]:
-        point, status, acc = ln.split(",")
-        rows.append({"point": point, "status": status,
-                     "final_target_accuracy": float(acc) if acc else None})
+    for lineno, ln in enumerate(lines[1:], start=2):
+        try:
+            point, status, acc = ln.split(",")
+            rows.append({"point": point, "status": status,
+                         "final_target_accuracy": float(acc) if acc else None})
+        except ValueError as exc:
+            raise ContractViolationError(
+                f"malformed grid summary row in {path} line {lineno}: {ln!r} ({exc})") from None
     return rows

@@ -95,6 +95,14 @@ def test_outputs_the_document_cannot_carry_names_key(outputs):
         replace(ExperimentConfig(), outputs=outputs)
 
 
+def test_empty_outputs_names_key():
+    # "outputs =" would resolve to the working directory
+    with pytest.raises(ConfigError, match="key 'outputs'"):
+        parse_config("outputs =\n")
+    with pytest.raises(ConfigError, match="key 'outputs'"):
+        replace(ExperimentConfig(), outputs="")
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_names_key(seed):
     # the substreams read the seed as 64 bits: -1 would train 2**64 - 1's run, 2**64 seed 0's

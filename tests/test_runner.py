@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from probadapt import autodiff as ad
 from probadapt import cli, losses, model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from probadapt.config import MODES, config_hash, parse_config
+from probadapt.config import (MODES, ExperimentConfig, config_hash, parse_config, parse_value,
+                              serialize_config)
 from probadapt.data import make_uda_pair
 from probadapt.errors import ConfigError, ContractViolationError, MissingClassError
 from probadapt.model import init_params
@@ -180,6 +182,73 @@ def test_grid_summary_reparseable(tmp_path):
     assert all(isinstance(r["final_target_accuracy"], float) for r in rows)
 
 
+@pytest.mark.parametrize("row", ["t1,complete", "t1,complete,high"])
+def test_malformed_grid_summary_row_names_file_and_line(tmp_path, row):
+    path = tmp_path / "grid_summary.csv"
+    path.write_text(f"point,status,final_target_accuracy\nt0,complete,0.5\n{row}\n")
+    with pytest.raises(ContractViolationError, match=re.escape(f"{path} line 3")):
+        read_grid_summary(path)
+
+
+# Amplitudes and the backbone flag off their defaults, so a point that drops a
+# term's base amplitude or leaves the flag alone changes a line it should not.
+OVERLAY_BASE = ExperimentConfig(lambda2_a=0.5, lambda3_a=0.125, cgi_updates_backbone=True)
+
+# axis -> each point in run order -> the canonical document lines it changes
+# from OVERLAY_BASE
+GRID_CHANGES = {
+    "beta_variant": {v: {} if v == "exp_neg_kl" else {"train.beta_variant": v}
+                     for v in ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl")},
+    "penalty_variant": {v: {} if v == "CGI" else {"train.penalty_variant": v}
+                        for v in ("GE", "CGE", "GI", "CGI_noreg", "CGI")},
+    "components": {
+        "cls_only": {"schedule.lambda2_a": "0.0", "schedule.lambda3_a": "0.0",
+                     "train.cgi_updates_backbone": "false"},
+        "cls_cpa": {"schedule.lambda3_a": "0.0", "train.cgi_updates_backbone": "false"},
+        "cls_cgi_backbone": {"schedule.lambda2_a": "0.0"},
+        "cls_cpa_cgi_backbone": {},
+        "cls_cgi_head": {"schedule.lambda2_a": "0.0", "train.cgi_updates_backbone": "false"},
+        "cls_cpa_cgi_head": {"train.cgi_updates_backbone": "false"},
+    },
+    # 14 is the base threshold
+    "pda_threshold": {f"t{t}": {"mode": "pda"} if t == 14
+                      else {"mode": "pda", "train.pda_threshold": str(t)}
+                      for t in (0, 1, 2, 5, 10, 14, 20, 30)},
+}
+
+
+def document(cfg):
+    return dict(line.split(" = ", 1) for line in serialize_config(cfg).splitlines())
+
+
+@pytest.mark.parametrize("axis", GRID_CHANGES)
+def test_grid_point_changes_the_base_in_its_overlay_keys_only(axis):
+    assert list(runner.GRID_AXES) == list(GRID_CHANGES)
+    base = document(OVERLAY_BASE)
+    points = list(runner._grid_points(OVERLAY_BASE, axis))
+    assert [name for name, _ in points] == list(GRID_CHANGES[axis])
+    for (name, cfg), (_, overlay) in zip(points, runner.GRID_AXES[axis]):
+        changed = {key: text for key, text in document(cfg).items() if base[key] != text}
+        assert changed == GRID_CHANGES[axis][name], name
+        # the point holds every overlay value and differs from the base in no other key
+        assert changed.keys() <= overlay.keys()
+        assert all(getattr(cfg, attr) == value
+                   for attr, value in (parse_value(*item) for item in overlay.items()))
+    if axis == "components":
+        assert all("train.cgi_updates_backbone" in overlay
+                   for _, overlay in runner.GRID_AXES[axis])
+
+
+def test_cli_grid_axis_is_one_of_the_table_axes(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["grid", "unread.cfg", "--axis", "lambda3_a"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'lambda3_a'" in err
+    assert all(axis in err for axis in
+               ("beta_variant", "penalty_variant", "components", "pda_threshold"))
+
+
 def test_grid_shares_seed_and_data(tmp_path):
     records = run_grid(fast_cfg(tmp_path=tmp_path), "beta_variant")
     assert len({r.summary["seed"] for r in records}) == 1
@@ -255,7 +324,8 @@ def test_grid_pda_threshold_from_a_pda_config(tmp_path):
     # does. Both grids write to the same place, so their config hashes agree.
     def grid_files(mode):
         records = run_grid(fast_cfg(f"mode = {mode}\n", tmp_path=tmp_path), "pda_threshold")
-        assert [r.summary["mode"] for r in records] == ["pda"] * len(runner.PDA_THRESHOLD_SWEEP)
+        assert [r.summary["mode"] for r in records] == (
+            ["pda"] * len(runner.GRID_AXES["pda_threshold"]))
         files = {path: path.read_bytes() for path in (tmp_path / "out").rglob("*")
                  if path.is_file()}
         assert len(files) == 1 + 2 * sum(r.summary["status"] != "failed" for r in records)
@@ -448,6 +518,17 @@ def test_selftest_checks_the_functions_the_pipeline_runs(fault, monkeypatch, cap
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     assert run_selftest() is False
     assert f"[FAIL] {line}" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_run_refuses_empty_outputs(tmp_path, monkeypatch, capsys):
+    # An empty path would put summary.json and epochs.csv in the working directory.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROBADAPT_OUTPUT_ROOT", raising=False)
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text(FAST + "outputs =\n")
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    assert "key 'outputs'" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["empty.cfg"]
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
 
-Runs a fixed set of 32 pipelines (each grid point counts as one) through
+Runs a fixed set of 38 pipelines (each grid point counts as one) through
 ``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
 ``PYTHONPATH`` and ``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory.
 Each run's config is a benchmark workload's config, built by the checkout's
@@ -18,9 +18,12 @@ lines replaced:
 - the ``uda_large_batch`` workload's config on seeds 0, 1 and 2
 - the ``components``, ``beta_variant``, ``penalty_variant`` and
   ``pda_threshold`` grids
+- the ``components`` grid from ``lambda2_a`` 0.5, ``lambda3_a`` 0.125 and
+  ``cgi_updates_backbone`` on, so that a point that loses a kept term's
+  amplitude or the backbone flag shows
 
 It then compares every ``summary.json``, ``epochs.csv`` and
-``grid_summary.csv``, 68 files, byte for byte. For each file that differs it names the
+``grid_summary.csv``, 81 files, byte for byte. For each file that differs it names the
 differing ``summary.json`` keys or the differing CSV line numbers. The exit
 status is 1 if any file differs or exists on one side only. Standard library
 only.
@@ -58,6 +61,9 @@ RUNS = (
       for seed in (0, 1, 2)),
     *((f"grid_{axis}", ("grid", "--axis", axis), "uda_default", 0, {})
       for axis in ("components", "beta_variant", "penalty_variant", "pda_threshold")),
+    ("grid_components_off_defaults", ("grid", "--axis", "components"), "uda_default", 0,
+     {"schedule.lambda2_a": "0.5", "schedule.lambda3_a": "0.125",
+      "train.cgi_updates_backbone": "true"}),
 )
 
 
