@@ -1,8 +1,9 @@
 """Walk through every loss ingredient on small hand-sized matrices.
 
-Shows the calibration weights, the pair distance and its relation to the
-Jensen-Shannon divergence, the transformed target probabilities, the
-calibration factor, and the closed form of the penalty gradient.
+Shows the pairwise alignment coefficients, the pair distance and its
+relation to the Jensen-Shannon divergence, the transformed target
+probabilities, the calibration factor, and the closed form of the penalty
+gradient.
 """
 
 import numpy as np
@@ -10,16 +11,13 @@ import numpy as np
 from probadapt import losses as L
 from probadapt.autodiff import Tape
 
-# --- calibration weights ---------------------------------------------------
-y_s = L.one_hot(np.array([0, 0, 2]), 3)
-alpha_s = L.source_weights(y_s)
-print("source weights:\n", alpha_s)
-
+# --- pairwise coefficients -------------------------------------------------
+# Source labels 0, 0, 2 weigh 1/2, 1/2 and 1; both target rows are
+# pseudo-labelled 0 and weigh 0.8/1.4 and 0.6/1.4, so only the class-0 source
+# rows pair with them.
+y_s = np.array([0, 0, 2])
 p_h_t = np.array([[0.8, 0.15, 0.05], [0.6, 0.3, 0.1]])
-y_tilde = L.pseudo_labels(p_h_t)
-alpha_t = L.target_weights(p_h_t, y_tilde)
-print("target weights:\n", alpha_t)
-print("pairwise coefficients:\n", L.calibration_matrix(alpha_s, alpha_t))
+print("pairwise coefficients:\n", L.calibration_matrix(y_s, p_h_t, 3))
 
 # --- distances ---------------------------------------------------------------
 p = np.array([0.7, 0.2, 0.1])

@@ -11,11 +11,13 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import predict_proba, pretrain
 from probadapt.runner import read_grid_summary, run_grid
-from probadapt.trainer import pda_category_counts, pda_class_mask, train
+from probadapt.trainer import partial_set_mask, train
 
 cfg = replace(ExperimentConfig(), target_class_count=2, noise_scale=0.45)
 task = make_pretrain_task(cfg)
@@ -26,12 +28,14 @@ pair = make_uda_pair(cfg)
 print(f"target holds only the first {math.ceil(cfg.task_classes / 2)} of "
       f"{cfg.task_classes} source classes")
 
-counts = pda_category_counts(predict_proba(params, "task", pair.target.inputs))
+pda_cfg = replace(cfg, mode="pda", pda_threshold=10)
+probs = predict_proba(params, "task", pair.target.inputs)
+counts = np.bincount(np.argmax(probs, axis=1), minlength=cfg.task_classes)
 print("pre-adaptation category counts:", counts)
-print("class mask at threshold 10:", pda_class_mask(counts, 10))
+print("class mask at threshold 10:", partial_set_mask(probs, pda_cfg))
 
 plain, _ = train(params, pair, cfg)
-masked, _ = train(params, pair, replace(cfg, mode="pda", pda_threshold=10))
+masked, _ = train(params, pair, pda_cfg)
 print(f"plain adaptation on the subset pair: {plain.final_target_accuracy:.3f}")
 print(f"with class masking (threshold 10):   {masked.final_target_accuracy:.3f}")
 

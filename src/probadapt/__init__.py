@@ -16,12 +16,11 @@ from .errors import (ConfigError, ContractViolationError, DomainError, EmptyPart
 from .losses import (CgiState, beta_values, calibration_matrix,
                      cgi_gradient_reference, classification_loss, cpa_loss,
                      gini_impurity, js_divergence, pair_distance, prototype_regularizer,
-                     pseudo_labels, source_weights, target_weights, transform_probability)
+                     transform_probability)
 from .model import (ParamGroups, feature_graph, fig1_analog, head_graph,
                     init_params, learn_prototype, predict_proba, pretrain, split_source)
 from .optim import ParamGroup, SgdState, sgd_step
 from .runner import RunRecord, run_experiment, run_grid
-from .trainer import (TrainReport, lambda_schedule, lr_schedule, pda_category_counts,
-                      train, train_step)
+from .trainer import TrainReport, lambda_schedule, lr_schedule, train, train_step
 
 __version__ = "0.1.0"

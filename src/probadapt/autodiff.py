@@ -91,9 +91,6 @@ class Tensor:
             raise ContractViolationError(f"item() on non-scalar shape {self.value.shape}")
         return float(self.value[0, 0])
 
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 

@@ -5,6 +5,9 @@ Subcommands:
   grid <config> --axis A   one run per point (config-key overlay) of a runner.GRID_AXES axis
   selftest                 built-in invariant checks
 
+Each run prints one line: its status, mode, seed and output directory, its
+final target accuracy when it has one, and its error when it did not complete.
+
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
 partial-set mask kept no class (status "incomplete") or that collapsed onto
 one class (status "collapsed"), or a grid point that failed with one of the
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
         line = f"[{s['status']}] mode={s['mode']} seed={s['seed']} out={rec.out_dir}"
         if "final_target_accuracy" in s:
             line += f" target_acc={s['final_target_accuracy']:.4f}"
+        if "error" in s:
+            line += f" error={s['error']}"
         print(line)
         if s["status"] != "complete":
             worst = EXIT_DIVERGED

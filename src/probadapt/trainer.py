@@ -86,29 +86,6 @@ def lambda_schedule(a: float, delta: float, rho: float) -> float:
     return a * (2.0 / (1.0 + math.exp(-delta * rho)) - 1.0)
 
 
-def pda_category_counts(p_h_t_full: np.ndarray) -> np.ndarray:
-    """Number of target samples whose argmax falls on each class."""
-    p = np.atleast_2d(np.asarray(p_h_t_full, dtype=np.float64))
-    if p.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.bincount(np.argmax(p, axis=1), minlength=p.shape[1])
-
-
-def pda_class_mask(counts: np.ndarray, threshold: int) -> np.ndarray:
-    """0/1 row keeping classes whose predicted count meets the threshold;
-    EmptyPartialSetError, naming ``train.pda_threshold``, when none does."""
-    if threshold < 0:
-        raise ContractViolationError("threshold must be non-negative")
-    counts = np.asarray(counts)
-    mask = (counts >= threshold).astype(np.float64)
-    if not np.any(mask):
-        raise EmptyPartialSetError(
-            f"key 'train.pda_threshold': every class fell below the partial-set threshold "
-            f"{threshold} (the most predicted class has {int(counts.max(initial=0))} "
-            f"target samples); lower the threshold")
-    return mask
-
-
 @dataclass
 class StepComputation:
     """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`;
@@ -145,10 +122,7 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         p_h_t = ad.mul(p_h_t, class_mask.reshape(1, -1))
 
     p_h_t_val = p_h_t.value
-    y_tilde = losses.pseudo_labels(p_h_t_val)
-    alpha_st = losses.calibration_matrix(
-        losses.source_weights(losses.one_hot(y_s, p_h_s.shape[1])),
-        losses.target_weights(p_h_t_val, y_tilde))
+    alpha_st = losses.calibration_matrix(y_s, p_h_t_val, p_h_s.shape[1])
 
     l_cls = losses.classification_loss(p_h_s, y_s, smoothing=config.label_smoothing)
     l_cpa = losses.cpa_loss(p_g_s, p_g_t, alpha_st, y_s, prototype)
@@ -227,11 +201,20 @@ def evaluate_target(params: ParamGroups, target: UnlabeledDataset, eval_labels: 
 
 def partial_set_mask(probs: np.ndarray | None,
                      config: ExperimentConfig) -> np.ndarray | None:
-    """Partial-set class mask from the task head's target probabilities
-    (None outside ``pda`` mode)."""
+    """Partial-set 0/1 class row from the task head's target probabilities
+    (None outside ``pda`` mode): it keeps the classes that are the argmax of
+    at least ``pda_threshold`` target rows. EmptyPartialSetError, naming
+    ``train.pda_threshold``, when it keeps none."""
     if config.mode != "pda":
         return None
-    return pda_class_mask(pda_category_counts(probs), config.pda_threshold)
+    counts = np.bincount(np.argmax(probs, axis=1), minlength=probs.shape[1])
+    mask = (counts >= config.pda_threshold).astype(np.float64)
+    if not np.any(mask):
+        raise EmptyPartialSetError(
+            f"key 'train.pda_threshold': every class fell below the partial-set threshold "
+            f"{config.pda_threshold} (the most predicted class has {int(counts.max())} "
+            f"target samples); lower the threshold")
+    return mask
 
 
 def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,

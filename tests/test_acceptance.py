@@ -101,9 +101,7 @@ def test_c02_cpa_form_equivalence():
         src_rows = rand_probs(rng, c1, c2)
         tgt_rows = rand_probs(rng, c1, c2)
         p_s, p_t = src_rows[y_s], tgt_rows[y_t]
-        p_h_t = L.one_hot(y_t, c1)
-        alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
-                                     L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
+        alpha = L.calibration_matrix(y_s, np.eye(c1)[y_t], c1)
         tape = Tape()
         got = L.cpa_pairwise(tape.leaf(p_s), tape.leaf(p_t), alpha).item()
         want = 0.0

@@ -83,6 +83,17 @@ def test_verdict_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
     assert verdicts(STEADY, faster)[1] == "adapt_samples_per_s verdict: within bound"
 
 
+def test_verdict_gain_not_repeated_when_a_half_of_the_pairs_falls_short():
+    faster = [w - 2.0 for w in STEADY]
+    # 9 wins of 10 and a large gap, but the first half of 5 pairs has a loss
+    one_loss = faster[:3] + [STEADY[3] + 1.0] + faster[4:]
+    assert verdicts(STEADY, one_loss)[0] == "wall_s verdict: gain not repeated"
+    # 20 pairs allow one loss in each half, but not two in one
+    assert verdicts(STEADY * 2, one_loss * 2)[0] == "wall_s verdict: gain shown"
+    two_losses = one_loss[:9] + [STEADY[9] + 1.0] + faster
+    assert verdicts(STEADY * 2, two_losses)[0] == "wall_s verdict: gain not repeated"
+
+
 def test_verdict_worse_than_bound_is_relative_to_the_parent_median():
     assert verdicts(STEADY, [w * 1.2 for w in STEADY])[0] == "wall_s verdict: within bound"
     assert verdicts(STEADY, [w * 1.3 for w in STEADY])[0] == "wall_s verdict: worse than bound"

@@ -30,61 +30,116 @@ def leaf(value):
     return leaves(value)[0]
 
 
-# ---------------------------------------------------------------- weights
+# ------------------------------------------------------ pair coefficients
+
+def five_step_alpha(y_s, p_h_t, classes):
+    """CPA's coefficients as the chain of one-hot labels, source weights,
+    pseudo-labels, target weights and their product."""
+    y_s = np.asarray(y_s)
+    y = np.zeros((len(y_s), classes))
+    y[np.arange(len(y_s)), y_s] = 1.0
+    col = y.sum(axis=0, keepdims=True)
+    a_s = np.divide(y, col, out=np.zeros_like(y), where=col > 0)
+    p = np.asarray(p_h_t, dtype=np.float64)
+    y_tilde = np.zeros_like(p)
+    y_tilde[np.arange(len(p)), np.argmax(p, axis=1)] = 1.0
+    col = p.sum(axis=0, keepdims=True)
+    a_t = y_tilde * np.divide(p, col, out=np.zeros_like(p), where=col > 0)
+    return a_s @ a_t.T
+
+
+def pair_coefficient_cases():
+    """(y_s, p_h_t, classes) batches covering every form the coefficients take."""
+    rng = rng_for(25, "test/alpha-chain")
+    cases = [
+        (np.arange(3), rand_probs(rng, 5, 3), 3),             # one source sample per class
+        (np.array([0, 0, 2]), rand_probs(rng, 4, 3), 3),      # a two-sample class, one absent
+        (np.array([1, 0, 1]), rand_probs(rng, 1, 3), 3),      # a single target sample
+        (np.array([0]), np.array([[0.0, 1.0]]), 2),            # orthogonal classes
+        (np.array([1]), np.array([[0.5, 0.3, 0.2]]), 3),      # a zero row
+        (np.array([0, 1]), np.array([[0.5, 0.5]]), 2),        # an exact tie
+        (np.array([0, 1, 2]), np.eye(3), 3),                   # one-hot target rows
+    ]
+    for _ in range(40):
+        c = int(rng.integers(2, 6))
+        y_s = rng.integers(0, c, size=int(rng.integers(1, 12)))
+        p = rand_probs(rng, int(rng.integers(1, 12)), c)
+        cases.append((y_s, p, c))
+        # a monotone rescale of the target rows
+        cases.append((y_s, p ** 3 / np.sum(p ** 3, axis=1, keepdims=True), c))
+        # target columns zeroed by a partial-set mask
+        mask = (rng.random(c) < 0.6).astype(np.float64)
+        mask[int(rng.integers(0, c))] = 1.0
+        cases.append((y_s, p * mask, c))
+    return cases
+
+
+def test_calibration_matrix_equals_the_five_step_chain_bit_for_bit():
+    for y_s, p_h_t, classes in pair_coefficient_cases():
+        alpha = L.calibration_matrix(y_s, p_h_t, classes)
+        assert alpha.shape == (len(y_s), len(p_h_t))
+        assert np.array_equal(alpha, five_step_alpha(y_s, p_h_t, classes))
+
+
+def test_calibration_matrix_refuses_bad_labels_and_class_counts():
+    with pytest.raises(ContractViolationError, match="label out of range"):
+        L.calibration_matrix(np.array([3]), np.array([[0.5, 0.5]]), 2)
+    with pytest.raises(ContractViolationError, match="3 classes, not 2"):
+        L.calibration_matrix(np.array([0]), np.array([[0.2, 0.3, 0.5]]), 2)
+
 
 def test_source_weights_single_sample():
-    y = np.array([[0.0, 1.0, 0.0]])
-    assert np.array_equal(L.source_weights(y), y)
+    # one source sample per class weighs 1: alpha's rows are the target weights
+    p = np.array([[0.2, 0.7, 0.1], [0.1, 0.6, 0.3]])
+    alpha = L.calibration_matrix(np.array([0, 1, 2]), p, 3)
+    assert alpha[1] == pytest.approx([0.7 / 1.3, 0.6 / 1.3], abs=1e-12)
+    assert np.array_equal(alpha[[0, 2]], np.zeros((2, 2)))
 
 
 def test_source_weights_hand_case():
-    y = L.one_hot(np.array([0, 0, 2]), 3)
-    expect = np.array([[0.5, 0, 0], [0.5, 0, 0], [0, 0, 1.0]])
-    assert np.allclose(L.source_weights(y), expect)
+    # one-hot target rows, one per class, read the source weights off alpha
+    alpha = L.calibration_matrix(np.array([0, 0, 2]), np.eye(3), 3)
+    assert np.array_equal(alpha, [[0.5, 0, 0], [0.5, 0, 0], [0, 0, 1.0]])
 
 
 def test_source_weights_absent_class_zero_column():
-    y = L.one_hot(np.array([0, 0, 2]), 3)
-    assert np.all(L.source_weights(y)[:, 1] == 0.0)
+    # no source sample has class 1, so the target row pseudo-labelled 1 pairs with none
+    alpha = L.calibration_matrix(np.array([0, 0, 2]), np.eye(3), 3)
+    assert np.all(alpha[:, 1] == 0.0)
 
 
 def test_target_weights_single_sample_is_pseudo_label():
-    p = np.array([[0.7, 0.3]])
-    yt = L.pseudo_labels(p)
-    assert np.allclose(L.target_weights(p, yt), yt)
+    alpha = L.calibration_matrix(np.array([0, 1]), np.array([[0.7, 0.3]]), 2)
+    assert np.array_equal(alpha, [[1.0], [0.0]])
 
 
 def test_target_weights_hand_case():
-    p = np.array([[0.8, 0.2], [0.6, 0.4]])
-    yt = L.pseudo_labels(p)
-    alpha = L.target_weights(p, yt)
-    assert alpha[0] == pytest.approx([0.8 / 1.4, 0.0], abs=1e-4)
-    assert alpha[1] == pytest.approx([0.6 / 1.4, 0.0], abs=1e-4)
+    alpha = L.calibration_matrix(np.array([0, 1]), np.array([[0.8, 0.2], [0.6, 0.4]]), 2)
+    assert alpha[0] == pytest.approx([0.8 / 1.4, 0.6 / 1.4], abs=1e-12)
+    assert np.array_equal(alpha[1], [0.0, 0.0])
 
 
 def test_target_weights_entries_at_most_one():
     rng = rng_for(0, "test/tw")
-    p = rand_probs(rng, 8, 4)
-    alpha = L.target_weights(p, L.pseudo_labels(p))
+    alpha = L.calibration_matrix(np.arange(4), rand_probs(rng, 8, 4), 4)
     assert np.all(alpha <= 1.0 + 1e-12)
 
 
 def test_calibration_matrix_orthogonal_classes():
-    a_s = np.array([[1.0, 0.0]])
-    a_t = np.array([[0.0, 1.0]])
-    assert L.calibration_matrix(a_s, a_t)[0, 0] == 0.0
+    assert L.calibration_matrix(np.array([0]), np.array([[0.0, 1.0]]), 2)[0, 0] == 0.0
 
 
 def test_calibration_matrix_hand_dot():
-    a_s = np.array([[0.5, 0.0, 0.0]])
-    a_t = np.array([[0.5714, 0.0, 0.0]])
-    assert L.calibration_matrix(a_s, a_t)[0, 0] == pytest.approx(0.2857, abs=1e-4)
+    # two class-0 source samples weigh 1/2; the target row weighs 0.8/1.4 = 0.5714
+    alpha = L.calibration_matrix(np.array([0, 0]), np.array([[0.8, 0.2], [0.6, 0.4]]), 2)
+    assert alpha[0, 0] == pytest.approx(0.2857, abs=1e-4)
+    assert alpha[0, 0] == pytest.approx(0.5 * 0.8 / 1.4, abs=1e-15)
 
 
 def test_calibration_matrix_zero_row():
-    a_s = np.zeros((1, 3))
-    a_t = np.array([[0.2, 0.3, 0.5]])
-    assert np.all(L.calibration_matrix(a_s, a_t) == 0.0)
+    # a source class no target row is pseudo-labelled with
+    alpha = L.calibration_matrix(np.array([1]), np.array([[0.5, 0.3, 0.2]]), 3)
+    assert np.all(alpha == 0.0)
 
 
 # ------------------------------------------------------------ distances
@@ -264,9 +319,8 @@ def pair_entropy_value_and_grads(a, b, w):
 
 def same_class_weights(y_s, y_t, classes):
     """CPA coefficients for source labels y_s and target pseudo-labels y_t."""
-    p_h_t = L.one_hot(y_t, classes) * 0.7 + 0.3 / classes
-    return L.calibration_matrix(L.source_weights(L.one_hot(y_s, classes)),
-                                L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
+    p_h_t = np.eye(classes)[y_t] * 0.7 + 0.3 / classes
+    return L.calibration_matrix(y_s, p_h_t, classes)
 
 
 def test_pair_entropy_gradients_equal_broadcast_reference_bit_for_bit():
@@ -378,9 +432,7 @@ def test_cpa_matches_classwise_form_one_hot_regime():
         src_rows = rand_probs(rng, c1, c2)
         tgt_rows = rand_probs(rng, c1, c2)
         p_s, p_t = src_rows[y_s], tgt_rows[y_t]
-        p_h_t = L.one_hot(y_t, c1)
-        alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
-                                     L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
+        alpha = L.calibration_matrix(y_s, np.eye(c1)[y_t], c1)
         got = L.cpa_pairwise(*leaves(p_s, p_t), alpha).item()
         want = brute_force_classwise(p_s, y_s, p_t, y_t, c1)
         assert got == pytest.approx(want, abs=1e-10)
@@ -396,9 +448,7 @@ def test_cpa_pairwise_average_form_general_rows():
         y_t = rng.integers(0, c1, size=n)
         p_s = rand_probs(rng, n, c2)
         p_t = rand_probs(rng, n, c2)
-        p_h_t = L.one_hot(y_t, c1)
-        alpha = L.calibration_matrix(L.source_weights(L.one_hot(y_s, c1)),
-                                     L.target_weights(p_h_t, L.pseudo_labels(p_h_t)))
+        alpha = L.calibration_matrix(y_s, np.eye(c1)[y_t], c1)
         got = L.cpa_pairwise(*leaves(p_s, p_t), alpha).item()
         want = 0.0
         for c in range(c1):
@@ -606,17 +656,24 @@ def test_classification_rejects_bad_labels():
 # --------------------------------------------------------- pseudo labels
 
 def test_pseudo_labels_argmax():
-    assert np.array_equal(L.pseudo_labels(np.array([[0.2, 0.8]])), [[0.0, 1.0]])
+    alpha = L.calibration_matrix(np.array([0, 1]), np.array([[0.2, 0.8]]), 2)
+    assert np.array_equal(alpha, [[0.0], [1.0]])
 
 
 def test_pseudo_labels_tie_to_lowest_index():
-    assert np.array_equal(L.pseudo_labels(np.array([[0.5, 0.5]])), [[1.0, 0.0]])
+    alpha = L.calibration_matrix(np.array([0, 1]), np.array([[0.5, 0.5]]), 2)
+    assert np.array_equal(alpha, [[1.0], [0.0]])
 
 
 def test_pseudo_labels_monotone_rescale_invariant():
+    # with every class in the source batch, alpha's nonzero pairs are the
+    # pseudo-labels, which a monotone rescale of the rows keeps
     rng = rng_for(15, "test/pl")
     p = rand_probs(rng, 6, 4)
-    assert np.array_equal(L.pseudo_labels(p), L.pseudo_labels(p ** 3 / np.sum(p ** 3, axis=1, keepdims=True)))
+    rescaled = p ** 3 / np.sum(p ** 3, axis=1, keepdims=True)
+    y_s = np.arange(4)
+    assert np.array_equal(L.calibration_matrix(y_s, p, 4) > 0,
+                          L.calibration_matrix(y_s, rescaled, 4) > 0)
 
 
 # --------------------------------------------- finite difference oracles

@@ -407,6 +407,39 @@ def test_cli_run_with_an_unmet_pda_threshold_is_incomplete(tmp_path, capsys):
     assert (tmp_path / "out" / "epochs.csv").read_text() == EPOCHS_HEADER + "\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_names_why_a_run_did_not_complete(tmp_path, capsys):
+    text = EXAMPLE_CFG.read_text()
+    assert "schedule.eta0 = 0.0075\n" in text and "outputs = runs/example\n" in text
+    cfg_path = tmp_path / "div.cfg"
+    cfg_path.write_text(text.replace("schedule.eta0 = 0.0075\n", "schedule.eta0 = 1e300\n")
+                        .replace("outputs = runs/example\n", f"outputs = {tmp_path / 'div'}\n"))
+    assert main(["run", str(cfg_path)]) == EXIT_DIVERGED
+    line = capsys.readouterr().out.strip()
+    assert line == (f"[incomplete] mode=uda seed=0 out={tmp_path / 'div'} "
+                    "error=loss cls became non-finite")
+
+
+def test_cli_names_why_a_grid_point_failed(tmp_path, capsys, monkeypatch):
+    original = runner.run_experiment
+
+    def run(cfg, out_dir=None):
+        if out_dir.name == "cls_cpa":
+            raise MissingClassError("no class 2")
+        return original(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(runner, "run_experiment", run)
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(FAST + f"outputs = {tmp_path / 'grid'}\n")
+    assert main(["grid", str(cfg_path), "--axis", "components"]) == EXIT_DIVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    failed = [line for line in lines if line.startswith("[failed]")]
+    assert failed == [f"[failed] mode=uda seed=1 out={tmp_path / 'grid' / 'components' / 'cls_cpa'}"
+                      " error=no class 2"]
+    assert not any("error=" in line for line in lines if line not in failed)
+
+
 def test_grid_refuses_a_threshold_sweep_beyond_the_target(tmp_path):
     # 4 classes of 5 target samples: the sweep's t30 is refused before any
     # point runs or writes a file.

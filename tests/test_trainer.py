@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probadapt import autodiff as ad
-from probadapt import runner, trainer
+from probadapt import losses, runner, trainer
 from probadapt.autodiff import Tape
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import UdaPair, UnlabeledDataset, make_uda_pair
@@ -17,8 +17,8 @@ from probadapt.errors import (ConfigError, ContractViolationError, EmptyPartialS
 from probadapt.model import init_params, learn_prototype, predict_proba
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
-from probadapt.trainer import (lambda_schedule, lr_schedule, pda_category_counts,
-                               pda_class_mask, step_losses_and_grads, train, train_step)
+from probadapt.trainer import (lambda_schedule, lr_schedule, partial_set_mask,
+                               step_losses_and_grads, train, train_step)
 
 
 def tiny_setup(seed=0, n=6, c1=3, c2=5, dim=4):
@@ -369,30 +369,100 @@ def test_step_full_combination_matches_manual_recomposition(backbone):
 
 # ------------------------------------------------------------------ pda
 
+def pda_config(threshold):
+    return ExperimentConfig(mode="pda", pda_threshold=threshold)
+
+
+def rows_with_counts(counts):
+    """Probability rows whose argmax falls on class c for counts[c] of them."""
+    c = len(counts)
+    return np.eye(c)[np.repeat(np.arange(c), counts)] * 0.6 + 0.4 / c
+
+
+def counts_then_threshold(probs, threshold):
+    """The partial-set rule as two steps: each class's argmax count, then the threshold."""
+    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    counts = np.bincount(np.argmax(p, axis=1), minlength=p.shape[1])
+    mask = (counts >= threshold).astype(np.float64)
+    if not np.any(mask):
+        raise EmptyPartialSetError(
+            f"key 'train.pda_threshold': every class fell below the partial-set threshold "
+            f"{threshold} (the most predicted class has {int(counts.max(initial=0))} "
+            f"target samples); lower the threshold")
+    return mask
+
+
 def test_pda_counts_tally():
+    # the masks at thresholds 1, 2 and 3 pin the counts 2, 1, 3
     p = np.array([[0.9, 0.1, 0.0], [0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
                   [0.0, 0.1, 0.9], [0.2, 0.2, 0.6], [0.1, 0.0, 0.9]])
-    assert np.array_equal(pda_category_counts(p), [2, 1, 3])
-    assert pda_category_counts(p).sum() == len(p)
-
-
-def test_pda_counts_empty():
-    assert np.array_equal(pda_category_counts(np.zeros((0, 3))), [])
+    masks = [partial_set_mask(p, pda_config(t)) for t in (1, 2, 3)]
+    assert np.array_equal(masks, [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
 
 def test_pda_mask_threshold_zero_identity():
-    p = np.array([0.3, 0.5, 0.2])
-    assert np.array_equal(p * pda_class_mask(np.array([5, 0, 7]), 0), p)
+    p = rows_with_counts([5, 0, 7])
+    assert np.array_equal(p * partial_set_mask(p, pda_config(0)), p)
 
 
 def test_pda_mask_hand_case():
     p = np.array([0.3, 0.5, 0.2])
-    assert np.allclose(p * pda_class_mask(np.array([5, 1, 7]), 2), [0.3, 0.0, 0.2])
+    mask = partial_set_mask(rows_with_counts([5, 1, 7]), pda_config(2))
+    assert np.allclose(p * mask, [0.3, 0.0, 0.2])
 
 
 def test_pda_mask_all_below_threshold_errors():
     with pytest.raises(EmptyPartialSetError, match="'train.pda_threshold'.* 10 .* 3 target"):
-        pda_class_mask(np.array([1, 2, 3]), 10)
+        partial_set_mask(rows_with_counts([1, 2, 3]), pda_config(10))
+
+
+def test_partial_set_mask_equals_counts_then_threshold():
+    rng = rng_for(0, "test/pda-rule")
+    assert partial_set_mask(rows_with_counts([1, 2, 3]), ExperimentConfig()) is None
+    for _ in range(30):
+        c = int(rng.integers(2, 6))
+        probs = rng.dirichlet(np.ones(c), size=int(rng.integers(1, 40)))
+        probs[: len(probs) // 4] = 1.0 / c          # exact ties go to class 0
+        for threshold in range(len(probs) + 2):
+            try:
+                want = counts_then_threshold(probs, threshold)
+            except EmptyPartialSetError as exc:
+                with pytest.raises(EmptyPartialSetError) as got:
+                    partial_set_mask(probs, pda_config(threshold))
+                assert str(got.value) == str(exc)
+            else:
+                assert np.array_equal(partial_set_mask(probs, pda_config(threshold)), want)
+
+
+def test_partial_set_mask_reaches_every_target_probability_consumer(monkeypatch):
+    # The mask multiplies the task head's target probabilities before the pair
+    # coefficients, the calibration state and the penalty read them.
+    params, x_s, y_s, x_t, m = tiny_setup(n=16)
+    unmasked = predict_proba(params, "task", x_t)
+    dropped = int(np.argmax(unmasked[0]))
+    assert dropped in y_s                 # the class has pairs when unmasked
+    mask = np.ones(3)
+    mask[dropped] = 0.0
+    seen = {}
+
+    def capture(name, original, read):
+        def wrapped(*args):
+            seen[name] = read(*args)
+            out = original(*args)
+            if name == "calibration_matrix":
+                seen["alpha"] = out
+            return out
+        monkeypatch.setattr(losses, name, wrapped)
+
+    capture("calibration_matrix", losses.calibration_matrix, lambda y, p, c: p)
+    capture("cgi_state", losses.cgi_state, lambda p, g, proto, variant: p)
+    capture("target_penalty_loss", losses.target_penalty_loss, lambda p, state, pen: p.value)
+    step_losses_and_grads(params, x_s, y_s, x_t, m, ExperimentConfig(), mask)
+    for name in ("calibration_matrix", "cgi_state", "target_penalty_loss"):
+        assert np.all(seen[name][:, dropped] == 0.0), name
+        assert np.array_equal(seen[name], unmasked * mask), name
+    # no pair has the dropped class as its target pseudo-label
+    assert not np.any(seen["alpha"][y_s == dropped])
 
 
 def test_pda_default_threshold_is_reference_value():

@@ -15,8 +15,12 @@ the pairs in which both runs gave a result, by the metric's ``better``
 direction; a tie counts for neither. After each metric's line comes its
 verdict, the first that holds of:
 
-- ``gain shown``: the change won at least 9 in 10 of the scored pairs, and
-  its median beats the parent's by more than the parent's IQR;
+- ``gain shown``: the change won at least 9 in 10 of the scored pairs, its
+  median beats the parent's by more than the parent's IQR, and it also won at
+  least 9 in 10 in each half of the scored pairs, taken in run order (the
+  first ``n // 2`` pairs, then the rest), so that the gain repeats: with 10
+  pairs that takes 10 wins, with 20 one loss per half;
+- ``gain not repeated``: the first two conditions hold but the third does not;
 - ``worse than bound``: the change's median is worse than the parent's by
   more than the metric's relative ``bound``;
 - ``unresolved``: the parent's IQR is wider than the bound, so the runs spread
@@ -67,13 +71,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, mid, q3
 
 
-def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -> str:
-    """The verdict on one metric's scored pairs; see the module docstring."""
+def verdict(metric: dict, parent: list[float], change: list[float], won: list[bool]) -> str:
+    """The verdict on one metric's scored pairs, in run order, given which of
+    them the change won; see the module docstring."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     (pq1, pmid, pq3), (_, cmid, _) = quartiles(parent), quartiles(change)
     allowed = metric["bound"] * abs(pmid)
-    if 10 * wins >= 9 * len(parent) and sign * (cmid - pmid) > pq3 - pq1:
-        return "gain shown"
+    if 10 * sum(won) >= 9 * len(won) and sign * (cmid - pmid) > pq3 - pq1:
+        half = len(won) // 2
+        repeated = all(10 * sum(part) >= 9 * len(part) for part in (won[:half], won[half:]))
+        return "gain shown" if repeated else "gain not repeated"
     if sign * (cmid - pmid) < -allowed:
         return "worse than bound"
     if pq3 - pq1 > allowed and not all(sign * (c - p) > 0 for c in change for p in parent):
@@ -98,7 +105,8 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list
             continue
         parent = [p[name]["value"] for p, _ in scored]
         change = [c[name]["value"] for _, c in scored]
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        won = [sign * (c - p) > 0 for p, c in zip(parent, change)]
+        wins = sum(won)
         ties = sum(c == p for p, c in zip(parent, change))
         (pq1, pmid, pq3), (cq1, cmid, cq3) = quartiles(parent), quartiles(change)
         lines.append(
@@ -107,7 +115,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list
             f"gap {cmid - pmid:+.6g} vs parent IQR {pq3 - pq1:.6g}  "
             f"change wins {wins}, ties {ties}, losses {len(scored) - wins - ties} "
             f"of {len(scored)}")
-        lines.append(f"{name} verdict: {verdict(metric, parent, change, wins)}")
+        lines.append(f"{name} verdict: {verdict(metric, parent, change, won)}")
     for i, side in enumerate(SIDES):
         results = [pair[i]["result"] for pair in pairs if pair[i]["result"] is not None]
         lines.append(f"{side}: failed {sum(r['failed'] for r in results)} of "

@@ -2,7 +2,7 @@
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
 
-Runs a fixed set of 38 pipelines (each grid point counts as one) through
+Runs a fixed set of 39 pipelines (each grid point counts as one) through
 ``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
 ``PYTHONPATH`` and ``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory.
 Each run's config is a benchmark workload's config, built by the checkout's
@@ -10,6 +10,8 @@ own ``perfbench/workloads.py`` from its ``configs/example.cfg``, with a few
 lines replaced:
 
 - the example as ``uda``, ``pda`` and ``fig1``
+- ``pda`` on a target of two classes with ``noise_scale`` 0.45 at threshold
+  10, whose partial-set mask drops a class in most evaluations
 - ``uda`` with ``lambda2_a`` and ``lambda3_a`` at 0
 - ``uda`` with ``eta0`` at 1e300, which diverges and is reported incomplete
 - ``uda`` with a translation, three target classes and
@@ -23,7 +25,7 @@ lines replaced:
   amplitude or the backbone flag shows
 
 It then compares every ``summary.json``, ``epochs.csv`` and
-``grid_summary.csv``, 81 files, byte for byte. For each file that differs it names the
+``grid_summary.csv``, 83 files, byte for byte. For each file that differs it names the
 differing ``summary.json`` keys or the differing CSV line numbers. The exit
 status is 1 if any file differs or exists on one side only. Standard library
 only.
@@ -50,6 +52,9 @@ COMPARED = ("summary.json", "epochs.csv", "grid_summary.csv")
 RUNS = (
     ("uda", ("run",), "uda_default", 0, {}),
     ("pda", ("run",), "uda_default", 0, {"mode": "pda"}),
+    ("pda_partial_set", ("run",), "uda_default", 0,
+     {"mode": "pda", "generator.target_class_count": "2", "generator.noise_scale": "0.45",
+      "train.pda_threshold": "10"}),
     ("fig1", ("run",), "uda_default", 0, {"mode": "fig1"}),
     ("uda_zero_amplitudes", ("run",), "uda_default", 0,
      {"schedule.lambda2_a": "0.0", "schedule.lambda3_a": "0.0"}),
