@@ -137,7 +137,6 @@ class ExperimentConfig:
     tau: float = _key("schedule.tau", 3e-4, lambda v: v >= 0)
     upsilon: float = _key("schedule.upsilon", 0.75, lambda v: v > 0)
     head_lr_multiplier: float = _key("schedule.head_lr_multiplier", 10.0, lambda v: v > 0)
-    lambda1: float = _key("schedule.lambda1", 1.0, lambda v: v >= 0)
     lambda2_a: float = _key("schedule.lambda2_a", 1.0, lambda v: v >= 0)
     lambda3_a: float = _key("schedule.lambda3_a", 0.25, lambda v: v >= 0)
     delta: float = _key("schedule.delta", 10.0, lambda v: v > 0)

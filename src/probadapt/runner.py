@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentConfig, config_hash, parse_value
@@ -26,11 +26,11 @@ from .errors import (ConfigError, ContractViolationError, EmptyPartialSetError, 
                      TrainingDivergedError)
 from .losses import BETA_VARIANTS
 from .model import fig1_analog, heldout_accuracy, pretrain
-from .trainer import TrainReport, train
+from .trainer import EpochRecord, TrainReport, train
 
 OUTPUT_ROOT_ENV = "PROBADAPT_OUTPUT_ROOT"
 
-EPOCHS_HEADER = "epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta"
+EPOCHS_HEADER = ",".join(EpochRecord.__dataclass_fields__)
 
 # axis -> its points in run order, each a name and the document keys it sets,
 # as value text; the components points turn off the terms they lack.
@@ -79,11 +79,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_epochs_csv(path: Path, report: TrainReport) -> None:
-    lines = [EPOCHS_HEADER]
-    for r in report.epochs:
-        lines.append(",".join([str(r.epoch), repr(r.target_acc), repr(r.l_cls),
-                               repr(r.l_cpa), repr(r.l_cgi), repr(r.lambda2),
-                               repr(r.lambda3), repr(r.eta)]))
+    lines = [EPOCHS_HEADER, *(",".join(map(repr, astuple(r))) for r in report.epochs)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

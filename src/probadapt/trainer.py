@@ -2,8 +2,8 @@
 partial-set extension.
 
 Each step computes three losses on one tape and backpropagates them
-separately, each into one flat gradient per group it reached. A loss whose
-amplitude (``lambda1``, ``lambda2_a`` or ``lambda3_a``) is zero weighs zero at
+separately, each into one flat gradient per group it reached. A calibration
+loss whose amplitude (``lambda2_a`` or ``lambda3_a``) is zero weighs zero at
 every step, so it is not backpropagated and reaches no group; its value is
 still checked and reported. The graph alone decides which parameter groups
 each loss reaches:
@@ -89,7 +89,7 @@ def lambda_schedule(a: float, delta: float, rho: float) -> float:
 @dataclass
 class StepComputation:
     """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`;
-    a loss with a zero amplitude is not backpropagated, and its entry is ``{}``."""
+    a calibration loss of zero amplitude is not backpropagated; its entry is ``{}``."""
 
     losses: dict[str, float]
     grads: dict[str, dict[str, np.ndarray]]
@@ -98,8 +98,8 @@ class StepComputation:
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
                           x_t: np.ndarray, prototype: np.ndarray, config: ExperimentConfig,
                           class_mask: np.ndarray | None = None) -> StepComputation:
-    """Forward all heads once and backpropagate each loss of nonzero amplitude
-    separately.
+    """Forward all heads once and backpropagate each loss separately, except a
+    calibration loss of zero amplitude.
 
     ``class_mask`` is the partial-set 0/1 class row; when given it multiplies
     the task head's target probabilities before every consumer (pseudo-label
@@ -134,12 +134,12 @@ def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
         if not np.isfinite(val):
             raise TrainingDivergedError(f"loss {name} became non-finite")
 
-    # A loss whose amplitude is zero has weight zero at every step, which
-    # descend drops, so it is not backpropagated: it reaches no group.
-    grads = {name: group_gradients(ad.backward(node), leaves) if amplitude != 0.0 else {}
-             for name, node, amplitude in (("cls", l_cls, config.lambda1),
-                                           ("cpa", l_cpa, config.lambda2_a),
-                                           ("cgi", l_cgi, config.lambda3_a))}
+    # A calibration loss whose amplitude is zero has weight zero at every
+    # step, which descend drops, so it is not backpropagated: it reaches no group.
+    grads = {"cls": group_gradients(ad.backward(l_cls), leaves)}
+    for name, node, amplitude in (("cpa", l_cpa, config.lambda2_a),
+                                  ("cgi", l_cgi, config.lambda3_a)):
+        grads[name] = group_gradients(ad.backward(node), leaves) if amplitude != 0.0 else {}
     tape.nodes.clear()
     return StepComputation(losses=values, grads=grads)
 
@@ -151,11 +151,11 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
                class_mask: np.ndarray | None = None) -> dict[str, float]:
     """One coupled update of all three groups; returns the loss record.
 
-    One :func:`model.descend` call weighs the losses' group gradients by
-    lambda1..3 and steps the task head at ``head_lr_multiplier`` times the
-    rate; a non-finite gradient in any group leaves all three unchanged. A
-    loss with a zero amplitude is not backpropagated (its ``grads`` entry is
-    ``{}``), so it steps no group, as its zero weight would ensure anyway.
+    One :func:`model.descend` call adds the cls gradients unweighted and the
+    cpa and cgi ones weighted by lambda2 and lambda3, and steps the task head
+    at ``head_lr_multiplier`` times the rate; a non-finite gradient in any
+    group leaves all three unchanged. A zero-amplitude calibration loss is
+    not backpropagated (its ``grads`` entry is ``{}``), so it steps no group.
     """
     eta = lr_schedule(config.eta0, config.tau, config.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
@@ -163,7 +163,7 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
     lambda3 = lambda_schedule(config.lambda3_a, config.delta, progress)
     comp = step_losses_and_grads(params, x_s, y_s, x_t, prototype, config, class_mask)
     rates = {"theta": eta, "theta_g": eta, "theta_h": eta * config.head_lr_multiplier}
-    descend(params, opt_states, rates, ((config.lambda1, comp.grads["cls"]),
+    descend(params, opt_states, rates, ((1.0, comp.grads["cls"]),
             (lambda2, comp.grads["cpa"]), (lambda3, comp.grads["cgi"])))
 
     record = dict(comp.losses)

@@ -17,7 +17,6 @@ def test_empty_document_gives_defaults():
     # reference hyperparameter defaults
     assert cfg.momentum == 0.9
     assert cfg.weight_decay == 5e-4
-    assert cfg.lambda1 == 1.0
     assert cfg.lambda2_a == 1.0
     assert cfg.lambda3_a == 0.25
     assert cfg.delta == 10.0
@@ -33,6 +32,13 @@ def test_unknown_key_named_in_error():
         parse_config("train.bogus = 3")
     with pytest.raises(ConfigError, match=r"unknown key 'train\.focal_gamma'"):
         parse_config("train.focal_gamma = 2")
+
+
+def test_schedule_lambda1_is_an_unknown_key_named_with_its_line():
+    # The classification loss is unweighted; a document that still sets its
+    # old weight fails loudly instead of being half-read.
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'schedule\.lambda1'"):
+        parse_config("seed = 0\nschedule.lambda1 = 1.0\n")
 
 
 def test_type_error_names_key():
@@ -76,7 +82,7 @@ def test_round_trip():
 def test_schema_has_one_entry_per_field_in_field_order():
     # The canonical serialisation, and so every config hash, follows this order.
     assert [attr for attr, _, _ in SCHEMA.values()] == [f.name for f in fields(ExperimentConfig)]
-    assert len(SCHEMA) == 30
+    assert len(SCHEMA) == 29
     assert list(SCHEMA) == [line.split(" = ", 1)[0]
                             for line in serialize_config(ExperimentConfig()).splitlines()]
 
@@ -296,4 +302,4 @@ def test_example_config_lists_every_key_with_its_default():
     assert keys == Counter(list(SCHEMA))
     cfg = parse_config(text)
     assert cfg == replace(ExperimentConfig(), outputs="runs/example")
-    assert config_hash(cfg) == "8ba226fdfc0e842b"
+    assert config_hash(cfg) == "7bbc26698552d498"

@@ -47,6 +47,9 @@ def test_uda_run_writes_reparseable_files(tmp_path):
     assert rec.summary["status"] == "complete"
     rows = read_epochs_csv(rec.out_dir / "epochs.csv")
     assert len(rows) == 2
+    # the header is built from EpochRecord's fields, and every epochs.csv reader
+    # expects this one
+    assert EPOCHS_HEADER == "epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta"
     assert list(rows[0].keys()) == EPOCHS_HEADER.split(",")
     summary = read_summary(rec.out_dir / "summary.json")
     assert summary["status"] == "complete"

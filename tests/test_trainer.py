@@ -105,19 +105,19 @@ def test_step_backward_returns_parameter_gradients_only(monkeypatch):
     assert all(leaf.op == "leaf" for grads in returned for leaf in grads)
 
 
-AMPLITUDES = {"cls": "lambda1", "cpa": "lambda2_a", "cgi": "lambda3_a"}
+AMPLITUDES = {"cpa": "lambda2_a", "cgi": "lambda3_a"}
 
 
 @pytest.mark.parametrize("point, config, passes", [
     *((name, cfg, passes) for (name, cfg), passes in
       zip(runner._grid_points(ExperimentConfig(), "components"), (1, 2, 2, 3, 2, 3))),
     ("baseline", ExperimentConfig(lambda2_a=0.0, lambda3_a=0.0), 1),
-    ("no_cls", ExperimentConfig(lambda1=0.0), 2),
 ])
 def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, point,
                                                                    config, passes):
-    # A zero amplitude weighs its loss at zero on every step, so the loss is
-    # still computed and reported but not backpropagated: it reaches no group.
+    # A zero amplitude weighs its calibration loss at zero on every step, so
+    # the loss is still computed and reported but not backpropagated: it
+    # reaches no group. The classification loss is always backpropagated.
     calls = []
     original = ad.backward
 
@@ -129,7 +129,8 @@ def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, p
     params, x_s, y_s, x_t, m = tiny_setup()
     comp = step_losses_and_grads(params, x_s, y_s, x_t, m, config)
     assert len(calls) == passes
-    assert set(comp.losses) == set(AMPLITUDES)
+    assert set(comp.losses) == {"cls", *AMPLITUDES}
+    assert comp.grads["cls"] != {}
     assert all(np.isfinite(value) for value in comp.losses.values())
     for loss, key in AMPLITUDES.items():
         assert (comp.grads[loss] == {}) == (getattr(config, key) == 0.0)
@@ -287,18 +288,6 @@ def test_step_zero_lambdas_is_supervised_step():
         assert not np.array_equal(params.theta_h[k], before_h[k])
 
 
-def test_step_lambda1_lambda3_zero_leaves_head_bit_exact():
-    params, x_s, y_s, x_t, m = tiny_setup()
-    cfg = ExperimentConfig(lambda1=0.0, lambda3_a=0.0)
-    before_h = {k: v.copy() for k, v in params.theta_h.items()}
-    # iteration 5 of 10 so lambda2 > 0 and theta, theta_g do move
-    before_t = {k: v.copy() for k, v in params.theta.items()}
-    train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 5, 10)
-    for k in before_h:
-        assert np.array_equal(params.theta_h[k], before_h[k])
-    assert any(not np.array_equal(params.theta[k], before_t[k]) for k in before_t)
-
-
 def test_step_supervised_matches_manual_composition():
     # lambda2 = lambda3 = 0 must reproduce a plain classification update
     params_a, x_s, y_s, x_t, m = tiny_setup(seed=3)
@@ -349,12 +338,12 @@ def test_step_full_combination_matches_manual_recomposition(backbone):
     lam2 = lambda_schedule(cfg.lambda2_a, cfg.delta, iteration / total)
     lam3 = lambda_schedule(cfg.lambda3_a, cfg.delta, iteration / total)
     assert rec["lambda2"] == lam2 and rec["lambda3"] == lam3 and rec["eta"] == eta
-    theta_terms = ((cfg.lambda1, "cls"), (lam2, "cpa"))
+    theta_terms = ((1.0, "cls"), (lam2, "cpa"))
     if backbone:
         theta_terms += ((lam3, "cgi"),)
     combos = {"theta": theta_terms,
               "theta_g": ((lam2, "cpa"),),
-              "theta_h": ((cfg.lambda1, "cls"), (lam3, "cgi"))}
+              "theta_h": ((1.0, "cls"), (lam3, "cgi"))}
     for group, terms in combos.items():
         flat = np.zeros_like(params_b.group(group).flat)
         for weight, loss_name in terms:
