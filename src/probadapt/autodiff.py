@@ -188,7 +188,8 @@ def _relu_vjp(g, x, value):
     return g * (x > 0.0)
 
 
-def _softmax_value(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of each row of a plain array."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -202,7 +203,7 @@ def _softmax_vjp(g, x, s):
 # Activation name -> (value(x), vjp(g, x, value)), shared by the standalone
 # primitives and :func:`dense`.
 _ACTIVATIONS = {"relu": (_relu_value, _relu_vjp),
-                "row_softmax": (_softmax_value, _softmax_vjp)}
+                "row_softmax": (softmax_rows, _softmax_vjp)}
 
 
 def matmul(a, b) -> Tensor | np.ndarray:
@@ -252,7 +253,7 @@ def relu(x: Tensor) -> Tensor:
 def row_softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax over each row; rows sum to 1."""
     xv = x.value
-    s = _softmax_value(xv)
+    s = softmax_rows(xv)
 
     def vjp(g):
         return (_softmax_vjp(g, xv, s),)

@@ -30,6 +30,12 @@ if TYPE_CHECKING:
 PROBE_MIN_SAMPLES = 10
 
 
+def check_label_range(labels: np.ndarray, classes: int) -> None:
+    """Refuse any label outside ``0 .. classes - 1``; an empty batch passes."""
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ContractViolationError("label out of range")
+
+
 @dataclass(frozen=True)
 class DomainDataset:
     """Labeled samples from one domain."""
@@ -43,8 +49,7 @@ class DomainDataset:
             raise ContractViolationError("inputs and labels differ in length")
         if len(self.inputs) < 1:
             raise ContractViolationError("dataset is empty")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise ContractViolationError("label out of range")
+        check_label_range(self.labels, self.class_count)
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -55,6 +60,10 @@ class UnlabeledDataset:
     """Training-facing view of a domain with no label accessor at all."""
 
     inputs: np.ndarray
+
+    def __post_init__(self):
+        if len(self.inputs) < 1:
+            raise ContractViolationError("dataset is empty")
 
     def __len__(self) -> int:
         return len(self.inputs)

@@ -19,19 +19,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS, Tensor
+from .data import check_label_range
 from .errors import ContractViolationError
 
 BETA_VARIANTS = ("constant_half", "exp_neg_entropy", "max_prob", "exp_neg_kl")
-PENALTY_VARIANTS = ("GE", "CGE", "GI", "CGI", "CGI_noreg")
+# In the penalty_variant grid's run order.
+PENALTY_VARIANTS = ("GE", "CGE", "GI", "CGI_noreg", "CGI")
 
 
 def clamp_probs(p: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(p, dtype=np.float64), EPS)
-
-
-def _check_label_range(labels: np.ndarray, classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ContractViolationError("label out of range")
 
 
 def calibration_matrix(y_s: np.ndarray, p_h_t: np.ndarray, classes: int) -> np.ndarray:
@@ -44,7 +41,7 @@ def calibration_matrix(y_s: np.ndarray, p_h_t: np.ndarray, classes: int) -> np.n
     absent from the batch, or masked out) weighs zero.
     """
     y_s = np.asarray(y_s)
-    _check_label_range(y_s, classes)
+    check_label_range(y_s, classes)
     p = np.asarray(p_h_t, dtype=np.float64)
     if p.shape[1] != classes:
         raise ContractViolationError(f"target probabilities have {p.shape[1]} classes, "
@@ -112,10 +109,7 @@ def transform_probability(p_g_t: np.ndarray, prototype: np.ndarray) -> np.ndarra
     p = clamp_probs(np.atleast_2d(p_g_t))
     m = clamp_probs(np.atleast_2d(prototype))
     # -KL(M_c || p_j) = sum_k M_ck log p_jk - sum_k M_ck log M_ck
-    scores = np.log(p) @ m.T - np.sum(m * np.log(m), axis=1)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=1, keepdims=True)
+    return ad.softmax_rows(np.log(p) @ m.T - np.sum(m * np.log(m), axis=1))
 
 
 def beta_values(variant: str, p_h: np.ndarray, p_tilde: np.ndarray) -> np.ndarray:
@@ -162,7 +156,7 @@ def _entropy_rows(p: Tensor) -> Tensor:
     return ad.scalar_affine(ad.row_sum(ad.mul(p, ad.log(ad.clamp_floor(p)))), -1.0, 0.0)
 
 
-def target_penalty_loss(p_h_t: Tensor, state: CgiState | None, penalty: str = "CGI") -> Tensor:
+def target_penalty_loss(p_h_t: Tensor, state: CgiState, penalty: str = "CGI") -> Tensor:
     """Scalar penalty on target predictions, summed over the batch.
 
     GE / GI are the plain entropy / Gini penalties. The calibrated variants
@@ -176,8 +170,6 @@ def target_penalty_loss(p_h_t: Tensor, state: CgiState | None, penalty: str = "C
     rows_fn = _entropy_rows if penalty in ("GE", "CGE") else _gini_rows
     if penalty in ("GE", "GI"):
         return ad.col_sum(rows_fn(p_h_t))
-    if state is None:
-        raise ContractViolationError(f"{penalty} needs a CgiState")
     scaled = ad.mul(state.beta, rows_fn(p_h_t))
     if penalty == "CGI_noreg":
         return ad.col_sum(scaled)
@@ -207,8 +199,7 @@ def prototype_regularizer(p_g_s: Tensor, labels: np.ndarray, prototype: np.ndarr
     the pairwise term cannot collapse both domains onto an average.
     """
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= prototype.shape[0]:
-        raise ContractViolationError("label out of range for the prototype")
+    check_label_range(labels, prototype.shape[0])
     m_rows = clamp_probs(prototype)[labels]
     const_term = float(np.sum(m_rows * np.log(m_rows)))
     cross = ad.col_sum(ad.weighted_log_rows(m_rows, p_g_s))
@@ -225,11 +216,7 @@ def cpa_pairwise(p_g_s: Tensor, p_g_t: Tensor, alpha_st: np.ndarray) -> Tensor:
     time and memory are O(n_s * n_t + P * c) with P the number of same-class
     pairs. ``alpha`` receives no gradient.
     """
-    alpha = np.asarray(alpha_st, dtype=np.float64)
-    n_s, n_t = p_g_s.shape[0], p_g_t.shape[0]
-    if alpha.shape != (n_s, n_t):
-        raise ContractViolationError(f"alpha shape {alpha.shape} != ({n_s}, {n_t})")
-    return ad.pair_entropy(ad.clamp_floor(p_g_s), ad.clamp_floor(p_g_t), alpha)
+    return ad.pair_entropy(ad.clamp_floor(p_g_s), ad.clamp_floor(p_g_t), alpha_st)
 
 
 def cpa_loss(p_g_s: Tensor, p_g_t: Tensor, alpha_st: np.ndarray, labels: np.ndarray,
@@ -251,7 +238,7 @@ def classification_loss(p_h_s: Tensor, labels: np.ndarray, smoothing: float = 0.
         raise ContractViolationError("labels do not match the batch")
     if not (0.0 <= smoothing < 1.0):
         raise ContractViolationError("smoothing must lie in [0, 1)")
-    _check_label_range(labels, c)
+    check_label_range(labels, c)
     targets = np.full((n, c), smoothing / (c - 1)) if smoothing > 0 else np.zeros((n, c))
     targets[np.arange(n), labels] = 1.0 - smoothing
     return ad.mean(ad.scalar_affine(ad.weighted_log_rows(targets, p_h_s), -1.0, 0.0))

@@ -104,13 +104,12 @@ def descend(params: ParamGroups, states: dict[str, SgdState], rates: dict[str, f
             terms: tuple[tuple[float, dict[str, np.ndarray]], ...]) -> None:
     """The one update path: step each group a ``(weight, group_gradients)`` term
     of nonzero weight reached by the sum of ``weight * g`` at ``rates[group]``, in
-    one :func:`sgd_step`. Other groups are not stepped, so no decay moves them.
-    A weight of 1.0 adds ``g`` itself: the product would equal it bit for bit."""
+    one :func:`sgd_step`. Other groups are not stepped, so no decay moves them."""
     total: dict[str, np.ndarray] = {}
     for weight, grads in terms:
         if weight != 0.0:
             for group, g in grads.items():
-                term = g if weight == 1.0 else weight * g
+                term = weight * g
                 total[group] = total[group] + term if group in total else term
     sgd_step([(params.group(group), g, states[group], rates[group]) for group, g in total.items()])
 
@@ -206,8 +205,6 @@ def split_source(dataset: DomainDataset, seed: int) -> tuple[DomainDataset, Doma
     Odd class counts put the extra sample in the training half. Deterministic
     given the seed.
     """
-    if len(dataset) < 2 * dataset.class_count:
-        raise ContractViolationError("need at least two samples per class to split")
     rng = rng_for(seed, "split/source")
     proto_idx, train_idx = [], []
     for c in range(dataset.class_count):

@@ -56,8 +56,8 @@ class SgdState:
     group's first step.
     """
 
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
+    momentum: float
+    weight_decay: float
     velocity: np.ndarray | None = None
 
 

@@ -24,20 +24,20 @@ from .config import ExperimentConfig, config_hash, parse_value
 from .data import make_pretrain_task, make_uda_pair
 from .errors import (ConfigError, ContractViolationError, EmptyPartialSetError, ProbadaptError,
                      TrainingDivergedError)
-from .losses import BETA_VARIANTS
+from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import EpochRecord, TrainReport, train
 
 OUTPUT_ROOT_ENV = "PROBADAPT_OUTPUT_ROOT"
 
 EPOCHS_HEADER = ",".join(EpochRecord.__dataclass_fields__)
+GRID_SUMMARY_HEADER = "point,status,final_target_accuracy"
 
 # axis -> its points in run order, each a name and the document keys it sets,
 # as value text; the components points turn off the terms they lack.
 GRID_AXES = {
     "beta_variant": tuple((v, {"train.beta_variant": v}) for v in BETA_VARIANTS),
-    "penalty_variant": tuple((v, {"train.penalty_variant": v})
-                             for v in ("GE", "CGE", "GI", "CGI_noreg", "CGI")),
+    "penalty_variant": tuple((v, {"train.penalty_variant": v}) for v in PENALTY_VARIANTS),
     "components": (
         ("cls_only", {"schedule.lambda2_a": "0", "schedule.lambda3_a": "0",
                       "train.cgi_updates_backbone": "false"}),
@@ -186,7 +186,7 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
             rec = RunRecord(out, _summary(point_cfg, "failed", error=str(exc)), None)
         rec.summary["grid_point"] = name
         records.append(rec)
-    lines = ["point,status,final_target_accuracy"]
+    lines = [GRID_SUMMARY_HEADER]
     for rec in records:
         acc = rec.summary.get("final_target_accuracy", "")
         lines.append(f"{rec.summary['grid_point']},{rec.summary['status']},"
@@ -198,7 +198,7 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
 
 def read_grid_summary(path: Path) -> list[dict]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "point,status,final_target_accuracy":
+    if not lines or lines[0] != GRID_SUMMARY_HEADER:
         raise ContractViolationError(f"unexpected grid summary header in {path}")
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):

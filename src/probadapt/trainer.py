@@ -232,8 +232,6 @@ def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
     class-conditional mean. Returns the report and the adapted copy of
     ``pretrained``.
     """
-    if len(pair.source) == 0 or len(pair.target) == 0:
-        raise ContractViolationError("both domains must be non-empty")
     params = pretrained.copy()
     proto_half, train_half = split_source(pair.source, config.seed)
     p_g_val = predict_proba(params, "pretrained", proto_half.inputs)

@@ -63,6 +63,17 @@ def test_summary_lists_a_failed_run_and_scores_only_complete_pairs():
     assert "wall_s: no pair gave a result" in lines
 
 
+def test_summary_lists_a_run_without_a_result_line():
+    tool = load_tool()
+    silent = {"returncode": 0, "result": None, "error": "no error output"}
+    pairs = [(run(3.0, 100.0), run(2.0, 120.0)), (silent, run(2.0, 120.0))]
+    lines, clean = tool.summarize(METRICS, pairs)
+    assert not clean
+    assert "pair 1 parent: no result line" in lines
+    assert not any(line.startswith("pair 1 change") for line in lines)
+    assert line_of(lines, "wall_s").endswith("change wins 1, ties 0, losses 0 of 1")
+
+
 def verdicts(parent_walls, change_walls):
     pairs = [(run(p, 100.0), run(c, 100.0)) for p, c in zip(parent_walls, change_walls)]
     lines, _ = load_tool().summarize(METRICS, pairs)

@@ -7,6 +7,7 @@ import pytest
 from probadapt import autodiff as ad
 from probadapt import losses as L
 from probadapt.autodiff import EPS, Tape
+from probadapt.data import DomainDataset
 from probadapt.errors import ContractViolationError, DomainError
 from probadapt.seeding import rng_for
 
@@ -213,6 +214,12 @@ def test_regularizer_nonnegative():
         assert L.prototype_regularizer(leaf(p), labels, m).item() >= -1e-12
 
 
+def test_regularizer_of_an_empty_batch_is_zero():
+    m = np.array([[0.3, 0.7], [0.6, 0.4]])
+    loss = L.prototype_regularizer(leaf(np.zeros((0, 2))), np.array([], dtype=np.int64), m)
+    assert loss.item() == 0.0
+
+
 # ------------------------------------------------------------------ cpa
 
 def test_cpa_zero_weights_and_prototype_rows():
@@ -293,6 +300,8 @@ def test_pair_entropy_checks_shapes_and_domain():
         ad.pair_entropy(a, tape.leaf([[0.3, 0.3, 0.4]]), np.ones((2, 1)))
     with pytest.raises(ContractViolationError):
         L.cpa_pairwise(a, b, np.ones((2, 2)))
+    with pytest.raises(ContractViolationError, match=r"need weights \(2, 1\), got \(1, 2\)"):
+        L.cpa_pairwise(a, b, np.ones((1, 2)))
     with pytest.raises(DomainError):
         ad.pair_entropy(a, tape.leaf([[-0.5, 0.1]]), np.ones((2, 1)))
 
@@ -617,9 +626,9 @@ def test_penalty_variants_values():
     m = rand_prototype(rng, c1, c2)
     state = L.cgi_state(p, g, m)
     p_leaf = leaf(p)
-    ge = L.target_penalty_loss(p_leaf, None, "GE").item()
+    ge = L.target_penalty_loss(p_leaf, state, "GE").item()
     assert ge == pytest.approx(gibbs_entropy(p), abs=1e-12)
-    gi = L.target_penalty_loss(p_leaf, None, "GI").item()
+    gi = L.target_penalty_loss(p_leaf, state, "GI").item()
     assert gi == pytest.approx(L.gini_impurity(p), abs=1e-12)
     noreg = L.target_penalty_loss(p_leaf, state, "CGI_noreg").item()
     assert noreg == pytest.approx(float(np.sum(state.beta.ravel() *
@@ -651,6 +660,23 @@ def test_classification_rejects_bad_labels():
     p = np.array([[0.8, 0.2]])
     with pytest.raises(ContractViolationError):
         L.classification_loss(leaf(p), np.array([2]), smoothing=0.0)
+
+
+# Each consumer of labels, called with a one-sample batch of two classes.
+LABEL_CONSUMERS = {
+    "DomainDataset": lambda y: DomainDataset(np.zeros((1, 3)), y, 2),
+    "calibration_matrix": lambda y: L.calibration_matrix(y, np.array([[0.5, 0.5]]), 2),
+    "classification_loss": lambda y: L.classification_loss(leaf(np.array([[0.5, 0.5]])), y),
+    "prototype_regularizer": lambda y: L.prototype_regularizer(
+        leaf(np.array([[0.5, 0.5]])), y, np.array([[0.3, 0.7], [0.6, 0.4]])),
+}
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+@pytest.mark.parametrize("consumer", LABEL_CONSUMERS)
+def test_every_label_consumer_refuses_a_label_out_of_range(consumer, label):
+    with pytest.raises(ContractViolationError, match="^label out of range$"):
+        LABEL_CONSUMERS[consumer](np.array([label]))
 
 
 # --------------------------------------------------------- pseudo labels

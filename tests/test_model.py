@@ -117,7 +117,8 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
     x_s, x_t = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
     prototype = rng.dirichlet(np.ones(4), size=2)
     cfg = ExperimentConfig()
-    states = {g: SgdState() for g in ("theta", "theta_g", "theta_h")}
+    states = {g: SgdState(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+              for g in ("theta", "theta_g", "theta_h")}
     for iteration in range(3):
         train_step(params, states, x_s, np.array([0, 1] * 3), x_t, prototype,
                    cfg, iteration, 10)

@@ -5,6 +5,11 @@ from probadapt.errors import ContractViolationError, TrainingDivergedError
 from probadapt.optim import ParamGroup, SgdState, sgd_step
 
 
+def sgd_state():
+    """A state at the config's default momentum and weight decay."""
+    return SgdState(momentum=0.9, weight_decay=5e-4)
+
+
 def test_plain_sgd_is_param_minus_grad():
     params = ParamGroup({"w": np.array([[2.0, -1.0]])})
     sgd_step([(params, np.array([0.5, -0.5]),
@@ -30,7 +35,7 @@ def test_weight_decay_formula():
 
 def test_velocity_buffers_match_shapes():
     params = ParamGroup({"w": np.zeros((3, 2)), "b": np.zeros((1, 2))})
-    state = SgdState()
+    state = sgd_state()
     sgd_step([(params, np.ones(8), state, 0.1)])
     assert state.velocity.shape == params.flat.shape
     for name, vel in params.views(state.velocity).items():
@@ -40,17 +45,17 @@ def test_velocity_buffers_match_shapes():
 def test_nonfinite_gradient_raises():
     params = ParamGroup({"w": np.ones((1, 1))})
     with pytest.raises(TrainingDivergedError):
-        sgd_step([(params, np.array([np.nan]), SgdState(), 0.1)])
+        sgd_step([(params, np.array([np.nan]), sgd_state(), 0.1)])
 
 
 def test_nonpositive_lr_rejected():
     with pytest.raises(ContractViolationError):
-        sgd_step([(ParamGroup({"w": np.ones((1, 1))}), np.ones(1), SgdState(), 0.0)])
+        sgd_step([(ParamGroup({"w": np.ones((1, 1))}), np.ones(1), sgd_state(), 0.0)])
 
 
 def test_gradient_outside_the_layout_rejected():
     with pytest.raises(ContractViolationError, match="gradient shape"):
-        sgd_step([(ParamGroup({"w": np.ones((2, 2))}), np.ones((2, 2)), SgdState(), 0.1)])
+        sgd_step([(ParamGroup({"w": np.ones((2, 2))}), np.ones((2, 2)), sgd_state(), 0.1)])
 
 
 def test_velocity_update_matches_formula_bit_for_bit():
@@ -72,7 +77,7 @@ def test_velocity_update_matches_formula_bit_for_bit():
 def test_nonfinite_gradient_error_names_the_parameter():
     params = ParamGroup({"w": np.ones((1, 1)), "b": np.ones((1, 1))})
     with pytest.raises(TrainingDivergedError, match="parameter b"):
-        sgd_step([(params, np.array([1.0, np.inf]), SgdState(), 0.1)])
+        sgd_step([(params, np.array([1.0, np.inf]), sgd_state(), 0.1)])
 
 
 def test_nonfinite_gradient_steps_no_group():
@@ -81,7 +86,7 @@ def test_nonfinite_gradient_steps_no_group():
     rng = np.random.default_rng(4)
     first = ParamGroup({"w": rng.normal(size=(2, 3)), "b": rng.normal(size=(1, 3))})
     second = ParamGroup({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(1, 2))})
-    warm, fresh = SgdState(), SgdState()
+    warm, fresh = sgd_state(), sgd_state()
     sgd_step([(first, rng.normal(size=9), warm, 0.1)])
     before = (first.flat.copy(), second.flat.copy(), warm.velocity.copy())
     bad = rng.normal(size=8)

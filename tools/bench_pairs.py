@@ -28,10 +28,10 @@ verdict, the first that holds of:
 - ``within bound``.
 
 It then gives each side's ``failed`` out of ``attempted`` pipeline runs, lists
-every run that exited nonzero, and lists every run whose result reads
-``"correct": false`` (a pin, status or byte-identity check failed), with its
-``failed`` count. The exit status is 1 if any run is listed. Standard library
-only.
+every run that exited nonzero, every run that exited 0 without a result line,
+and every run whose result reads ``"correct": false`` (a pin, status or
+byte-identity check failed), with its ``failed`` count. The exit status is 1
+if any run is listed. Standard library only.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def verdict(metric: dict, parent: list[float], change: list[float], won: list[bo
 
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list[str], bool]:
     """Summary lines for ``(parent run, change run)`` pairs, and whether every run
-    exited 0 with a correct result.
+    exited 0 with a result line that reads correct.
 
     ``metrics`` are BENCHMARK.json's ``end_to_end`` entries; a run is a
     :func:`run_once` result.
@@ -120,17 +120,18 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> tuple[list
         results = [pair[i]["result"] for pair in pairs if pair[i]["result"] is not None]
         lines.append(f"{side}: failed {sum(r['failed'] for r in results)} of "
                      f"{sum(r['attempted'] for r in results)} pipeline runs")
-    clean = True
+    problems = []
     for number, pair in enumerate(pairs):
         for side, run in zip(SIDES, pair):
+            where, result = f"pair {number} {side}", run["result"]
             if run["returncode"] != 0:
-                clean = False
-                lines.append(f"pair {number} {side} exited {run['returncode']}: {run['error']}")
-            elif run["result"] is not None and not run["result"]["correct"]:
-                clean = False
-                lines.append(f"pair {number} {side} not correct: failed "
-                             f"{run['result']['failed']} of {run['result']['attempted']}")
-    return lines, clean
+                problems.append(f"{where} exited {run['returncode']}: {run['error']}")
+            elif result is None:
+                problems.append(f"{where}: no result line")
+            elif not result["correct"]:
+                problems.append(f"{where} not correct: failed "
+                                f"{result['failed']} of {result['attempted']}")
+    return lines + problems, not problems
 
 
 def main(argv=None) -> int:
