@@ -51,3 +51,23 @@ def test_a_file_on_one_side_only_is_named(tmp_path):
     lines, identical = load_tool().compare(tmp_path / "parent", tmp_path / "change")
     assert not identical
     assert lines == ["uda/epochs.csv: missing in change", "1 of 2 files identical"]
+
+
+def test_a_golden_mismatch_names_each_file_and_summary_key(tmp_path):
+    tool = load_tool()
+    write_run(tmp_path / "pinned")
+    golden = tool.golden_record(tmp_path / "pinned")
+    assert set(golden["files"]) == {"uda/epochs.csv", "uda/summary.json"}
+    assert golden["summaries"] == {"uda/summary.json": SUMMARY}
+    assert tool.golden_mismatches(golden, tmp_path / "pinned") == []
+    write_run(tmp_path / "moved", summary=dict(SUMMARY, final_target_accuracy=0.97),
+              epochs=EPOCHS.replace("0.75", "0.8"))
+    (tmp_path / "moved" / "extra").mkdir()
+    (tmp_path / "moved" / "extra" / "grid_summary.csv").write_text("point\n")
+    assert tool.golden_mismatches(golden, tmp_path / "moved") == [
+        "extra/grid_summary.csv: not in the golden record",
+        "uda/epochs.csv: sha256 differs",
+        "uda/summary.json: keys final_target_accuracy"]
+    (tmp_path / "moved" / "uda" / "epochs.csv").unlink()
+    assert "uda/epochs.csv: missing from the run" in tool.golden_mismatches(
+        golden, tmp_path / "moved")

@@ -1,6 +1,7 @@
-"""Compare the run outputs of two source checkouts.
+"""Compare the run outputs of two source checkouts, or pin this checkout's.
 
     python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
+    python3 tools/output_diff.py --write-golden
 
 Runs a fixed set of 39 pipelines (each grid point counts as one) through
 ``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
@@ -27,21 +28,33 @@ lines replaced:
 It then compares every ``summary.json``, ``epochs.csv`` and
 ``grid_summary.csv``, 83 files, byte for byte. For each file that differs it names the
 differing ``summary.json`` keys or the differing CSV line numbers. The exit
-status is 1 if any file differs or exists on one side only. Standard library
-only.
+status is 1 if any file differs or exists on one side only. That comparison
+uses the standard library only.
+
+``--write-golden`` runs the :data:`GOLDEN_RUNS` subset of these pipelines in
+this process, from this checkout's ``src``, and writes the sha256 of each of
+their report files, every ``summary.json`` in full, and the Python and numpy
+versions to ``tests/golden_outputs.json``, which ``tests/test_golden_outputs.py``
+checks in Tier-1. Regenerate it only in a change that moves outputs on
+purpose, and list the moved files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_outputs.json"
 
 SIDES = ("parent", "change")
 
@@ -71,6 +84,11 @@ RUNS = (
       "train.cgi_updates_backbone": "true"}),
 )
 
+# The runs of RUNS whose report files GOLDEN pins: one of each mode, the
+# partial-set mask, zero amplitudes, divergence and the components grid.
+GOLDEN_RUNS = ("uda", "pda", "pda_partial_set", "fig1", "uda_zero_amplitudes", "uda_diverged",
+               "grid_components")
+
 
 def load_workloads(checkout: Path):
     """The checkout's ``perfbench/workloads.py``, which builds each workload's
@@ -84,6 +102,13 @@ def load_workloads(checkout: Path):
     return module
 
 
+def config_text(workloads, workload: str, seed: int, overrides: dict, name: str) -> str:
+    """A run's config: the workload's, with ``overrides`` and ``outputs = name``."""
+    base = workloads.WORKLOADS[workload]
+    return workloads.config_text(replace(base, overrides={
+        **base.overrides, **overrides, "outputs": name}), seed)
+
+
 def run_all(checkout: Path, root: Path) -> list[str]:
     """Run every pipeline of :data:`RUNS` from ``checkout`` into ``root``; one line
     per run that exited neither 0 nor 3 (a run reported as not complete)."""
@@ -94,16 +119,74 @@ def run_all(checkout: Path, root: Path) -> list[str]:
     root.mkdir(parents=True)
     problems = []
     for name, args, workload, seed, overrides in RUNS:
-        base = workloads.WORKLOADS[workload]
         cfg = root / f"{name}.cfg"
-        cfg.write_text(workloads.config_text(replace(base, overrides={
-            **base.overrides, **overrides, "outputs": name}), seed), encoding="utf-8")
+        cfg.write_text(config_text(workloads, workload, seed, overrides, name), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "probadapt.cli", args[0], str(cfg),
                                *args[1:]], cwd=root, env=env, capture_output=True, text=True)
         if proc.returncode not in (0, 3):
             error = (proc.stderr.strip().splitlines() or ["no error output"])[-1]
             problems.append(f"{name} exited {proc.returncode}: {error}")
     return problems
+
+
+def run_golden(root: Path) -> None:
+    """Run the :data:`GOLDEN_RUNS` pipelines in this process into ``root``, as
+    ``probadapt.cli`` would with ``PROBADAPT_OUTPUT_ROOT`` set to ``root``."""
+    from probadapt import runner
+    from probadapt.config import parse_config
+
+    workloads = load_workloads(ROOT)
+    previous = os.environ.get(runner.OUTPUT_ROOT_ENV)
+    os.environ[runner.OUTPUT_ROOT_ENV] = str(root)
+    try:
+        for name, args, workload, seed, overrides in RUNS:
+            if name in GOLDEN_RUNS:
+                cfg = parse_config(config_text(workloads, workload, seed, overrides, name))
+                if args[0] == "run":
+                    runner.run_experiment(cfg)
+                else:
+                    runner.run_grid(cfg, args[args.index("--axis") + 1])
+    finally:
+        if previous is None:
+            del os.environ[runner.OUTPUT_ROOT_ENV]
+        else:
+            os.environ[runner.OUTPUT_ROOT_ENV] = previous
+
+
+def golden_record(root: Path) -> dict:
+    """The Python and numpy versions, the sha256 of every report file under
+    ``root`` and every ``summary.json`` in full, keyed by relative path."""
+    import numpy
+
+    files = sorted(outputs(root))
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "files": {path.as_posix(): hashlib.sha256((root / path).read_bytes()).hexdigest()
+                  for path in files},
+        "summaries": {path.as_posix(): json.loads((root / path).read_bytes())
+                      for path in files if path.name == "summary.json"},
+    }
+
+
+def golden_mismatches(golden: dict, root: Path) -> list[str]:
+    """One line per report file under ``root`` whose sha256 differs from
+    ``golden``'s or that exists on one side only, naming a ``summary.json``'s
+    differing keys; empty when every file matches."""
+    found = golden_record(root)["files"]
+    lines = []
+    for path in sorted(golden["files"].keys() | found.keys()):
+        if path not in found:
+            lines.append(f"{path}: missing from the run")
+        elif path not in golden["files"]:
+            lines.append(f"{path}: not in the golden record")
+        elif found[path] != golden["files"][path]:
+            detail = "sha256 differs"
+            if path in golden["summaries"]:
+                pinned = json.dumps(golden["summaries"][path], sort_keys=True, indent=2) + "\n"
+                detail = differences(Path(path), pinned.encode(), (root / path).read_bytes())
+            lines.append(f"{path}: {detail}")
+    return lines
 
 
 def outputs(root: Path) -> set[Path]:
@@ -145,9 +228,23 @@ def compare(parent_root: Path, change_root: Path) -> tuple[list[str], bool]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", type=Path, nargs="?")
+    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"write {GOLDEN.relative_to(ROOT)} from this checkout instead")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        if args.parent or args.change:
+            parser.error("--write-golden takes no checkouts")
+        sys.path.insert(0, str(ROOT / "src"))
+        with tempfile.TemporaryDirectory() as tmp:
+            run_golden(Path(tmp))
+            record = golden_record(Path(tmp))
+        GOLDEN.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {len(record['files'])} digests to {GOLDEN}")
+        return 0
+    if args.change is None:
+        parser.error("give PARENT_DIR and CHANGE_DIR, or --write-golden")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "workloads.py").is_file():
             parser.error(f"{checkout} holds no perfbench/workloads.py")
