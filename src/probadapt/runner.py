@@ -3,7 +3,9 @@
 Every run writes two files into its output directory:
 
 * ``epochs.csv`` with the frozen header
-  ``epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta``
+  ``epoch,target_acc,l_cls,l_cpa,l_cgi,lambda2,lambda3,eta``; an ``l_cpa``
+  or ``l_cgi`` field is empty when the term's amplitude is zero, since the
+  run never computed it
 * ``summary.json`` with deterministic fields only, so reruns are
   byte-identical; its ``status`` is ``complete``, ``collapsed`` or
   ``incomplete`` (training diverged, or a pda run's partial-set mask kept no
@@ -79,7 +81,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_epochs_csv(path: Path, report: TrainReport) -> None:
-    lines = [EPOCHS_HEADER, *(",".join(map(repr, astuple(r))) for r in report.epochs)]
+    lines = [EPOCHS_HEADER, *(",".join("" if v is None else repr(v) for v in astuple(r))
+                              for r in report.epochs)]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -1,12 +1,14 @@
 """Adaptation training loop: three-group updates, schedules, and the
 partial-set extension.
 
-Each step computes three losses on one tape and backpropagates them
+Each step computes up to three losses on one tape and backpropagates them
 separately, each into one flat gradient per group it reached. A calibration
 loss whose amplitude (``lambda2_a`` or ``lambda3_a``) is zero weighs zero at
-every step, so it is not backpropagated and reaches no group; its value is
-still checked and reported. The graph alone decides which parameter groups
-each loss reaches:
+every step, so it is not built at all: it is neither computed, checked,
+reported nor backpropagated, and reaches no group. With both amplitudes at
+zero the step is a source-only step: the target batch is not forwarded and the
+pretrained head is not on the tape. The graph alone decides which parameter
+groups each loss reaches:
 
 * extractor        <- classification + alignment (and the target penalty
                       only when ``cgi_updates_backbone`` is set)
@@ -51,8 +53,9 @@ class EpochRecord:
     epoch: int
     target_acc: float
     l_cls: float
-    l_cpa: float
-    l_cgi: float
+    # None when the term's amplitude is zero, so the run never computed it
+    l_cpa: float | None
+    l_cgi: float | None
     lambda2: float
     lambda3: float
     eta: float
@@ -89,7 +92,8 @@ def lambda_schedule(a: float, delta: float, rho: float) -> float:
 @dataclass
 class StepComputation:
     """Losses and ``grads[loss][group]``, each loss's :func:`model.group_gradients`;
-    a calibration loss of zero amplitude is not backpropagated; its entry is ``{}``."""
+    a calibration loss of zero amplitude is not built: it is absent from
+    ``losses`` and its ``grads`` entry is ``{}``."""
 
     losses: dict[str, float]
     grads: dict[str, dict[str, np.ndarray]]
@@ -98,48 +102,55 @@ class StepComputation:
 def step_losses_and_grads(params: ParamGroups, x_s: np.ndarray, y_s: np.ndarray,
                           x_t: np.ndarray, prototype: np.ndarray, config: ExperimentConfig,
                           class_mask: np.ndarray | None = None) -> StepComputation:
-    """Forward all heads once and backpropagate each loss separately, except a
-    calibration loss of zero amplitude.
+    """Forward the heads each built loss reads once and backpropagate each
+    loss separately; a calibration loss of zero amplitude is not built.
 
     ``class_mask`` is the partial-set 0/1 class row; when given it multiplies
     the task head's target probabilities before every consumer (pseudo-label
     weights, calibration factors, the penalty itself).
     """
+    # A term of zero amplitude is not built, and without either term neither
+    # the target batch nor the pretrained head is; the nodes that are built
+    # keep one order.
+    cpa_on, cgi_on = config.lambda2_a != 0.0, config.lambda3_a != 0.0
+    adapting = cpa_on or cgi_on
     tape = Tape()
-    leaves = {g: leaves_for(tape, params.group(g)) for g in ("theta", "theta_g", "theta_h")}
-    theta_leaves, g_leaves, h_leaves = leaves.values()
+    groups = ("theta", "theta_g", "theta_h") if adapting else ("theta", "theta_h")
+    leaves = {g: leaves_for(tape, params.group(g)) for g in groups}
+    theta_leaves, h_leaves = leaves["theta"], leaves["theta_h"]
 
     f_s = feature_graph(theta_leaves, x_s)
-    f_t = feature_graph(theta_leaves, x_t)
+    if adapting:
+        f_t = feature_graph(theta_leaves, x_t)
     p_h_s = head_graph(h_leaves, f_s)
-    p_g_s = head_graph(g_leaves, f_s)
-    p_g_t = head_graph(g_leaves, f_t)
-    # The penalty reaches the extractor only when explicitly enabled; by
-    # default the task head sees detached target features.
-    f_t_for_h = f_t if config.cgi_updates_backbone else f_t.value
-    p_h_t = head_graph(h_leaves, f_t_for_h)
-    if class_mask is not None:
-        p_h_t = ad.mul(p_h_t, class_mask.reshape(1, -1))
+    if cpa_on:
+        p_g_s = head_graph(leaves["theta_g"], f_s)
+    if adapting:
+        p_g_t = head_graph(leaves["theta_g"], f_t)
+        # The penalty reaches the extractor only when explicitly enabled; by
+        # default the task head sees detached target features.
+        f_t_for_h = f_t if config.cgi_updates_backbone else f_t.value
+        p_h_t = head_graph(h_leaves, f_t_for_h)
+        if class_mask is not None:
+            p_h_t = ad.mul(p_h_t, class_mask.reshape(1, -1))
+        p_h_t_val = p_h_t.value
+    if cpa_on:
+        alpha_st = losses.calibration_matrix(y_s, p_h_t_val, p_h_s.shape[1])
 
-    p_h_t_val = p_h_t.value
-    alpha_st = losses.calibration_matrix(y_s, p_h_t_val, p_h_s.shape[1])
+    nodes = {"cls": losses.classification_loss(p_h_s, y_s, smoothing=config.label_smoothing)}
+    if cpa_on:
+        nodes["cpa"] = losses.cpa_loss(p_g_s, p_g_t, alpha_st, y_s, prototype)
+    if cgi_on:
+        state = losses.cgi_state(p_h_t_val, p_g_t.value, prototype, config.beta_variant)
+        nodes["cgi"] = losses.target_penalty_loss(p_h_t, state, config.penalty_variant)
 
-    l_cls = losses.classification_loss(p_h_s, y_s, smoothing=config.label_smoothing)
-    l_cpa = losses.cpa_loss(p_g_s, p_g_t, alpha_st, y_s, prototype)
-    state = losses.cgi_state(p_h_t_val, p_g_t.value, prototype, config.beta_variant)
-    l_cgi = losses.target_penalty_loss(p_h_t, state, config.penalty_variant)
-
-    values = {"cls": l_cls.item(), "cpa": l_cpa.item(), "cgi": l_cgi.item()}
+    values = {name: node.item() for name, node in nodes.items()}
     for name, val in values.items():
         if not np.isfinite(val):
             raise TrainingDivergedError(f"loss {name} became non-finite")
 
-    # A calibration loss whose amplitude is zero has weight zero at every
-    # step, which descend drops, so it is not backpropagated: it reaches no group.
-    grads = {"cls": group_gradients(ad.backward(l_cls), leaves)}
-    for name, node, amplitude in (("cpa", l_cpa, config.lambda2_a),
-                                  ("cgi", l_cgi, config.lambda3_a)):
-        grads[name] = group_gradients(ad.backward(node), leaves) if amplitude != 0.0 else {}
+    grads = {name: group_gradients(ad.backward(nodes[name]), leaves) if name in nodes else {}
+             for name in ("cls", "cpa", "cgi")}
     tape.nodes.clear()
     return StepComputation(losses=values, grads=grads)
 
@@ -155,7 +166,8 @@ def train_step(params: ParamGroups, opt_states: dict[str, SgdState],
     cpa and cgi ones weighted by lambda2 and lambda3, and steps the task head
     at ``head_lr_multiplier`` times the rate; a non-finite gradient in any
     group leaves all three unchanged. A zero-amplitude calibration loss is
-    not backpropagated (its ``grads`` entry is ``{}``), so it steps no group.
+    not built (its ``grads`` entry is ``{}``), so it steps no group and is
+    absent from the record.
     """
     eta = lr_schedule(config.eta0, config.tau, config.upsilon, iteration)
     progress = iteration / max(1, total_iterations)
@@ -251,7 +263,7 @@ def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
         need = per_epoch * config.batch_size
         src_stream = _batch_stream(n_s, need, config.seed, "train/shuffle/source", epoch)
         tgt_stream = _batch_stream(n_t, need, config.seed, "train/shuffle/target", epoch)
-        sums = {"cls": 0.0, "cpa": 0.0, "cgi": 0.0}
+        sums: dict[str, float] = {}
         last = {}
         for b in range(per_epoch):
             lo, hi = b * config.batch_size, (b + 1) * config.batch_size
@@ -260,14 +272,15 @@ def train(pretrained: ParamGroups, pair: UdaPair, config: ExperimentConfig,
                               train_half.labels[si], pair.target.inputs[ti],
                               prototype, config, iteration,
                               total_iterations, class_mask)
-            for k in sums:
-                sums[k] += last[k]
+            for k in ("cls", "cpa", "cgi"):
+                if k in last:
+                    sums[k] = sums.get(k, 0.0) + last[k]
             iteration += 1
         acc, probs = evaluate_target(params, pair.target, pair.eval_labels, class_mask)
+        mean = {k: total / per_epoch for k, total in sums.items()}
         report.epochs.append(EpochRecord(
             epoch=epoch, target_acc=acc,
-            l_cls=sums["cls"] / per_epoch, l_cpa=sums["cpa"] / per_epoch,
-            l_cgi=sums["cgi"] / per_epoch,
+            l_cls=mean["cls"], l_cpa=mean.get("cpa"), l_cgi=mean.get("cgi"),
             lambda2=last["lambda2"], lambda3=last["lambda3"], eta=last["eta"]))
 
     classes = pair.source.class_count

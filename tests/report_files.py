@@ -13,8 +13,9 @@ def read_epochs_csv(path) -> list[dict]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines and lines[0] == EPOCHS_HEADER, f"unexpected epochs.csv header in {path}"
     cols = lines[0].split(",")
-    return [{k: (int(v) if k == "epoch" else float(v)) for k, v in zip(cols, ln.split(","))}
-            for ln in lines[1:]]
+    # an empty field is a term the run never computed
+    return [{k: (None if v == "" else int(v) if k == "epoch" else float(v))
+             for k, v in zip(cols, ln.split(","))} for ln in lines[1:]]
 
 
 def read_summary(path) -> dict:

@@ -129,6 +129,15 @@ def test_grid_components_six_rows(tmp_path):
     grid_csv = (tmp_path / "out" / "components" / "grid_summary.csv").read_text().splitlines()
     assert grid_csv[0] == "point,status,final_target_accuracy"
     assert len(grid_csv) == 7
+    # a point's epochs.csv leaves exactly the fields of the terms it lacks empty
+    empty = {"cls_only": {"l_cpa", "l_cgi"}, "cls_cpa": {"l_cgi"},
+             "cls_cgi_backbone": {"l_cpa"}, "cls_cpa_cgi_backbone": set(),
+             "cls_cgi_head": {"l_cpa"}, "cls_cpa_cgi_head": set()}
+    for rec in records:
+        rows = read_epochs_csv(rec.out_dir / "epochs.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert {k for k, v in row.items() if v is None} == empty[rec.summary["grid_point"]]
 
 
 def test_components_grid_pretrains_once_and_writes_the_same_files(tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import UnlabeledDataset, make_uda_pair
 from probadapt.errors import (ConfigError, ContractViolationError, EmptyPartialSetError,
                               TrainingDivergedError)
-from probadapt.model import init_params, learn_prototype, predict_proba
+from probadapt.model import (feature_graph, head_graph, init_params, leaves_for,
+                             learn_prototype, predict_proba)
 from probadapt.optim import SgdState
 from probadapt.seeding import rng_for
 from probadapt.trainer import (lambda_schedule, lr_schedule, partial_set_mask,
@@ -116,7 +117,7 @@ AMPLITUDES = {"cpa": "lambda2_a", "cgi": "lambda3_a"}
 def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, point,
                                                                    config, passes):
     # A zero amplitude weighs its calibration loss at zero on every step, so
-    # the loss is still computed and reported but not backpropagated: it
+    # the loss is not built: it is neither reported nor backpropagated, and it
     # reaches no group. The classification loss is always backpropagated.
     calls = []
     original = ad.backward
@@ -129,7 +130,9 @@ def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, p
     params, x_s, y_s, x_t, m = tiny_setup()
     comp = step_losses_and_grads(params, x_s, y_s, x_t, m, config)
     assert len(calls) == passes
-    assert set(comp.losses) == {"cls", *AMPLITUDES}
+    assert set(comp.losses) == {"cls", *(loss for loss, key in AMPLITUDES.items()
+                                         if getattr(config, key) != 0.0)}
+    assert set(comp.grads) == {"cls", *AMPLITUDES}
     assert comp.grads["cls"] != {}
     assert all(np.isfinite(value) for value in comp.losses.values())
     for loss, key in AMPLITUDES.items():
@@ -139,20 +142,39 @@ def test_step_backpropagates_only_losses_with_a_nonzero_amplitude(monkeypatch, p
 @pytest.mark.parametrize("key", ["lambda2_a", "lambda3_a"])
 def test_first_step_ignores_the_amplitude(key):
     # lambda2 = lambda3 = 0 at iteration 0 whatever the amplitude, so a step
-    # that skips the loss's backward and one that weighs it at zero agree bit
-    # for bit. A first step at iteration 5 gives every group a velocity.
+    # that skips the loss and one that weighs it at zero agree bit for bit on
+    # every parameter and velocity, and on every record entry but the skipped
+    # loss. A first step at iteration 5 gives every group a velocity.
     params, x_s, y_s, x_t, m = tiny_setup(seed=5)
     states = fresh_states(ExperimentConfig())
     train_step(params, states, x_s, y_s, x_t, m, ExperimentConfig(), 5, 10)
-    results = []
+    records, stepped_groups = [], []
     for amplitude in (0.0, 1.0):
         stepped, stepped_states = params.copy(), copy.deepcopy(states)
-        record = train_step(stepped, stepped_states, x_s, y_s, x_t, m,
-                            replace(ExperimentConfig(), **{key: amplitude}), 0, 10)
-        results.append((record, [(stepped.group(g).flat.tobytes(),
-                                  stepped_states[g].velocity.tobytes())
-                                 for g in ("theta", "theta_g", "theta_h")]))
-    assert results[0] == results[1]
+        records.append(train_step(stepped, stepped_states, x_s, y_s, x_t, m,
+                                  replace(ExperimentConfig(), **{key: amplitude}), 0, 10))
+        stepped_groups.append([(stepped.group(g).flat.tobytes(),
+                                stepped_states[g].velocity.tobytes())
+                               for g in ("theta", "theta_g", "theta_h")])
+    assert stepped_groups[0] == stepped_groups[1]
+    skipped, built = records
+    assert set(built) - set(skipped) == {loss for loss, k in AMPLITUDES.items() if k == key}
+    assert skipped == {k: built[k] for k in skipped}
+
+
+def test_cls_only_step_builds_no_calibration_input(monkeypatch):
+    # Neither calibration term is built at zero amplitude, so nothing that
+    # only feeds them may run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero-amplitude term was built")
+
+    for name in ("calibration_matrix", "cpa_loss", "cgi_state", "target_penalty_loss"):
+        monkeypatch.setattr(losses, name, refuse)
+    (_, cfg), = (point for point in runner._grid_points(ExperimentConfig(), "components")
+                 if point[0] == "cls_only")
+    params, x_s, y_s, x_t, m = tiny_setup()
+    record = train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 5, 10)
+    assert set(record) == {"cls", "eta", "lambda2", "lambda3"}
 
 
 def test_step_computes_no_vjp_product_for_a_constant(monkeypatch):
@@ -288,6 +310,17 @@ def test_step_zero_lambdas_is_supervised_step():
         assert not np.array_equal(params.theta_h[k], before_h[k])
 
 
+def source_only_graph(params, x_s, y_s, cfg):
+    """A plain classification step's graph: the extractor and the task head on
+    the source batch, and the classification loss."""
+    tape = Tape()
+    theta_leaves = leaves_for(tape, params.theta)
+    h_leaves = leaves_for(tape, params.theta_h)
+    p = head_graph(h_leaves, feature_graph(theta_leaves, x_s))
+    return tape, theta_leaves, h_leaves, losses.classification_loss(
+        p, y_s, smoothing=cfg.label_smoothing)
+
+
 def test_step_supervised_matches_manual_composition():
     # lambda2 = lambda3 = 0 must reproduce a plain classification update
     params_a, x_s, y_s, x_t, m = tiny_setup(seed=3)
@@ -296,17 +329,9 @@ def test_step_supervised_matches_manual_composition():
     rec = train_step(params_a, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 0, 10)
     assert rec["lambda2"] == 0.0 and rec["lambda3"] == 0.0
 
-    from probadapt import autodiff as ad
-    from probadapt import losses as L
-    from probadapt.model import feature_graph, head_graph, leaves_for
     from probadapt.optim import sgd_step
-    from probadapt.autodiff import Tape
 
-    tape = Tape()
-    theta_leaves = leaves_for(tape, params_b.theta)
-    h_leaves = leaves_for(tape, params_b.theta_h)
-    p = head_graph(h_leaves, feature_graph(theta_leaves, tape.leaf(x_s)))
-    loss = L.classification_loss(p, y_s, smoothing=cfg.label_smoothing)
+    _, theta_leaves, h_leaves, loss = source_only_graph(params_b, x_s, y_s, cfg)
     grads = ad.backward(loss)
     eta = lr_schedule(cfg.eta0, cfg.tau, cfg.upsilon, 0)
     for group, leaves, mult in (("theta", theta_leaves, 1.0), ("theta_h", h_leaves, 10.0)):
@@ -317,6 +342,24 @@ def test_step_supervised_matches_manual_composition():
     for group in ("theta", "theta_g", "theta_h"):
         for k in params_a.group(group):
             assert np.array_equal(params_a.group(group)[k], params_b.group(group)[k])
+
+
+def test_cls_only_step_tape_is_the_source_only_graph(monkeypatch):
+    # Without either calibration term the step forwards no target batch and
+    # puts no pretrained-head leaf on its tape.
+    recorded = []
+    original_backward = ad.backward
+
+    def counting_backward(output):
+        recorded.append(len(output.tape.nodes))
+        return original_backward(output)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    params, x_s, y_s, x_t, m = tiny_setup(n=16)
+    cfg = ExperimentConfig(lambda2_a=0.0, lambda3_a=0.0)
+    step_losses_and_grads(params, x_s, y_s, x_t, m, cfg)
+    tape, *_ = source_only_graph(params, x_s, y_s, cfg)
+    assert recorded == [len(tape.nodes)]
 
 
 @pytest.mark.parametrize("backbone", [False, True])
@@ -497,6 +540,20 @@ def test_train_report_shape_and_schedule_columns():
     assert [r.epoch for r in rep.epochs] == list(range(cfg.epochs))
     assert rep.epochs[0].lambda2 < rep.epochs[-1].lambda2
     assert all(np.isfinite([r.l_cls, r.l_cpa, r.l_cgi]).all() for r in rep.epochs)
+
+
+@pytest.mark.parametrize("lambda2_a, lambda3_a", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+def test_train_report_leaves_out_a_zero_amplitude_term(lambda2_a, lambda3_a):
+    cfg = fast_cfg(lambda2_a=lambda2_a, lambda3_a=lambda3_a)
+    params, pair = pretrained_and_pair(cfg)
+    rep, _ = train(params, pair, cfg)
+    assert [r.epoch for r in rep.epochs] == list(range(cfg.epochs))
+    for r in rep.epochs:
+        for value, amplitude, weight in ((r.l_cpa, lambda2_a, r.lambda2),
+                                         (r.l_cgi, lambda3_a, r.lambda3)):
+            assert (value is None) == (amplitude == 0.0)
+            assert (weight == 0.0) == (amplitude == 0.0)
+        assert all(np.isfinite(v) for v in (r.l_cls, r.l_cpa, r.l_cgi) if v is not None)
 
 
 def test_train_pda_threshold_zero_matches_uda():
