@@ -170,8 +170,7 @@ def test_cls_only_step_builds_no_calibration_input(monkeypatch):
 
     for name in ("calibration_matrix", "cpa_loss", "cgi_state", "target_penalty_loss"):
         monkeypatch.setattr(losses, name, refuse)
-    (_, cfg), = (point for point in runner._grid_points(ExperimentConfig(), "components")
-                 if point[0] == "cls_only")
+    cfg = dict(runner._grid_points(ExperimentConfig(), "components"))["cls_only"]
     params, x_s, y_s, x_t, m = tiny_setup()
     record = train_step(params, fresh_states(cfg), x_s, y_s, x_t, m, cfg, 5, 10)
     assert set(record) == {"cls", "eta", "lambda2", "lambda3"}

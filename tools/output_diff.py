@@ -52,6 +52,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
@@ -136,9 +137,7 @@ def run_golden(root: Path) -> None:
     from probadapt.config import parse_config
 
     workloads = load_workloads(ROOT)
-    previous = os.environ.get(runner.OUTPUT_ROOT_ENV)
-    os.environ[runner.OUTPUT_ROOT_ENV] = str(root)
-    try:
+    with mock.patch.dict(os.environ, {runner.OUTPUT_ROOT_ENV: str(root)}):
         for name, args, workload, seed, overrides in RUNS:
             if name in GOLDEN_RUNS:
                 cfg = parse_config(config_text(workloads, workload, seed, overrides, name))
@@ -146,11 +145,6 @@ def run_golden(root: Path) -> None:
                     runner.run_experiment(cfg)
                 else:
                     runner.run_grid(cfg, args[args.index("--axis") + 1])
-    finally:
-        if previous is None:
-            del os.environ[runner.OUTPUT_ROOT_ENV]
-        else:
-            os.environ[runner.OUTPUT_ROOT_ENV] = previous
 
 
 def golden_record(root: Path) -> dict:
