@@ -42,11 +42,16 @@ def test_log_rejects_nonpositive():
 
 
 def test_softmax_rows_sum_to_one_and_positive():
+    # the composite, and dense's softmax head both taped and on arrays only
     rng = rng_for(0, "test/softmax")
+    logits = rng.normal(0, 5, size=(20, 7))
+    x, w, b = rng.normal(0, 3, size=(20, 4)), rng.normal(size=(4, 7)), rng.normal(size=(1, 7))
     tape = Tape()
-    s = ad.row_softmax(tape.leaf(rng.normal(0, 5, size=(20, 7)))).value
-    assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.all(s > 0)
+    for s in (ad.row_softmax(tape.leaf(logits)).value,
+              ad.dense(tape.leaf(x), tape.leaf(w), tape.leaf(b), "row_softmax").value,
+              ad.dense(x, w, b, "row_softmax")):
+        assert np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(s > 0)
 
 
 def test_backward_sum_of_squares():

@@ -355,6 +355,20 @@ def test_pair_entropy_gradients_equal_broadcast_reference_bit_for_bit():
         assert np.array_equal(got[2], want[2])
 
 
+def test_pair_entropy_symmetric_under_swapped_operands():
+    # Swapping a and b and transposing the weights sums the same pairs: each
+    # gradient is the same array bit for bit, the value agrees to rounding.
+    rng = rng_for(25, "test/pair-swap")
+    for _ in range(20):
+        n_a, n_b = (int(v) for v in rng.choice(np.arange(1, 9), size=2, replace=False))
+        a, b = rand_probs(rng, n_a, 5), rand_probs(rng, n_b, 5)
+        w = rng.random((n_a, n_b)) * (rng.random((n_a, n_b)) > 0.3)
+        value, ga, gb = pair_entropy_value_and_grads(a, b, w)
+        value_swapped, gb_swapped, ga_swapped = pair_entropy_value_and_grads(b, a, w.T)
+        assert math.isclose(value, value_swapped, rel_tol=1e-12)
+        assert np.array_equal(ga, ga_swapped) and np.array_equal(gb, gb_swapped)
+
+
 def test_pair_entropy_vjp_repeats_bit_for_bit():
     # The VJP reuses the forward's buffers; a second call must see them intact
     # and must leave the first call's results alone.
