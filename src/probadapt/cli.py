@@ -3,7 +3,6 @@
 Subcommands:
   run <config>             execute the config's mode pipeline
   grid <config> --axis A   one run per point (config-key overlay) of a runner.GRID_AXES axis
-  selftest                 built-in invariant checks
 
 Each run prints one line: its status, mode, seed and output directory, its
 final target accuracy when it has one, and its error when it did not complete.
@@ -11,8 +10,8 @@ final target accuracy when it has one, and its error when it did not complete.
 Exit codes: 0 success, 2 configuration error, 3 a run that diverged or whose
 partial-set mask kept no class (status "incomplete") or that collapsed onto
 one class (status "collapsed"), or a grid point that failed with one of the
-package's errors (status "failed"), 1 selftest failure. Any other error inside
-a run is a programming error and propagates.
+package's errors (status "failed"). Any other error inside a run is a
+programming error and propagates.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from pathlib import Path
 from .config import parse_config
 from .errors import ConfigError
 from .runner import GRID_AXES, run_experiment, run_grid
-from .selftest import run_selftest
 
 EXIT_OK = 0
-EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
@@ -52,12 +49,7 @@ def main(argv=None) -> int:
     p_grid.add_argument("config")
     p_grid.add_argument("--axis", required=True, choices=GRID_AXES)
 
-    sub.add_parser("selftest", help="run the built-in invariant checks")
-
     args = parser.parse_args(argv)
-
-    if args.command == "selftest":
-        return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
     try:
         cfg = _load_config(args.config)
