@@ -14,7 +14,8 @@ from probadapt.optim import ParamGroup, SgdState, sgd_step
 tape = Tape()
 x = tape.leaf([[1.0, -2.0, 0.5]])
 w = tape.leaf(np.array([[0.2], [0.4], [-0.3]]))
-hidden = ad.relu(ad.matmul(x, w))
+b = tape.leaf([[1.0]])              # x @ w = -0.75; the bias keeps the unit active
+hidden = ad.dense(x, w, b, "relu")  # relu(x @ w + b) as one tape node
 loss = ad.mean(ad.mul(hidden, hidden))
 print("forward value:", loss.item())
 
@@ -22,13 +23,14 @@ print("forward value:", loss.item())
 grads = ad.backward(loss)
 print("d loss / d x:", grads[x])
 print("d loss / d w:", grads[w])
+print("d loss / d b:", grads[b])
 
 # --- check them against central finite differences ------------------------
 def build(tape, leaves):
-    h = ad.relu(ad.matmul(leaves[0], leaves[1]))
+    h = ad.dense(*leaves, "relu")
     return ad.mean(ad.mul(h, h))
 
-err = ad.finite_difference_check(build, [x.value, w.value])
+err = ad.finite_difference_check(build, [x.value, w.value, b.value])
 print(f"max relative error vs finite differences: {err:.2e}")
 
 # --- a few optimizer steps -------------------------------------------------
