@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .autodiff import EPS, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .data import DomainDataset, PretrainTask, UnlabeledDataset, accuracy, proxy_a_distance
 from .errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from .optim import ParamGroup, SgdState, sgd_step
@@ -139,8 +139,9 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
     instead of training again; the grid points of an ablation share one
     pretraining this way. The single entry is keyed by content: the bytes,
     shape and dtype of ``task.train.inputs`` and ``task.train.labels``,
-    ``task.train.class_count`` and every other argument; a call with any
-    other key trains and replaces it. Each call returns its own copy, so
+    ``task.train.class_count``, the architecture (:data:`HIDDEN_DIMS` and
+    :data:`FEATURE_DIM`) and every other argument; a call with any other key
+    trains and replaces it. Each call returns its own copy, so
     mutating a result never changes a later one. A call that raises stores
     nothing.
     """
@@ -148,7 +149,8 @@ def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed
     x, y = task.train.inputs, task.train.labels
     c2 = task.train.class_count
     key = (x.tobytes(), x.shape, x.dtype.str, y.tobytes(), y.shape, y.dtype.str, c2,
-           task_classes, epochs, lr, seed, batch_size, momentum, weight_decay)
+           HIDDEN_DIMS, FEATURE_DIM, task_classes, epochs, lr, seed, batch_size, momentum,
+           weight_decay)
     if _pretrain_memo is not None and _pretrain_memo[0] == key:
         return _pretrain_memo[1].copy()
     params = init_params(x.shape[1], c2, task_classes, seed)
@@ -180,9 +182,10 @@ def heldout_accuracy(params: ParamGroups, task: PretrainTask) -> float:
 def learn_prototype(p_g_val: np.ndarray, labels: np.ndarray, task_classes: int) -> np.ndarray:
     """Per-class mean of pretrained-head probabilities, clamped and renormalised.
 
-    Row c is the center of the validation rows labeled c; rows are floored at
-    EPS (they sit inside logs downstream) and rescaled to sum to 1. Column
-    sums use exact accumulation so the result is independent of row order.
+    Row c is the center of the validation rows labeled c; rows are clamped
+    by :func:`losses.clamp_probs` (they sit inside logs downstream) and
+    rescaled to sum to 1. Column sums use exact accumulation so the result
+    is independent of row order.
     """
     p = np.asarray(p_g_val, dtype=np.float64)
     labels = np.asarray(labels)
@@ -193,9 +196,9 @@ def learn_prototype(p_g_val: np.ndarray, labels: np.ndarray, task_classes: int) 
             raise MissingClassError(f"class {c} has no validation samples")
         block = p[mask]
         center = np.array([math.fsum(block[:, k]) for k in range(p.shape[1])]) / len(block)
-        center = np.maximum(center, EPS)
+        center = losses.clamp_probs(center)
         center = center / math.fsum(center)
-        rows.append(np.maximum(center, EPS))
+        rows.append(losses.clamp_probs(center))
     return np.vstack(rows)
 
 

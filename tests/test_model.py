@@ -210,6 +210,16 @@ def test_pretrain_memo_survives_mutated_results(trainings):
     assert len(trainings) == 1
 
 
+def test_pretrain_memo_is_keyed_by_the_architecture(trainings, monkeypatch):
+    task = make_pretrain_task(pretrain_cfg())
+    assert pretrain(task, **PRETRAIN_ARGS).theta["w1"].shape == (4, 64)
+    monkeypatch.setattr(model, "HIDDEN_DIMS", (128, 64))
+    assert pretrain(task, **PRETRAIN_ARGS).theta["w1"].shape == (4, 128)
+    monkeypatch.setattr(model, "FEATURE_DIM", 16)
+    assert pretrain(task, **PRETRAIN_ARGS).theta_g["w"].shape == (16, 4)
+    assert len(trainings) == 3
+
+
 def assert_named_tensors_view_the_flat_buffers(params):
     for group in ("theta", "theta_g", "theta_h"):
         tensors = params.group(group)
