@@ -9,14 +9,13 @@ grid through the experiment runner and prints its comparison table.
 import math
 import tempfile
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from probadapt.config import ExperimentConfig, parse_config
 from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.model import predict_proba, pretrain
-from probadapt.runner import read_grid_summary, run_grid
+from probadapt.runner import run_grid
 from probadapt.trainer import partial_set_mask, train
 
 cfg = replace(ExperimentConfig(), target_class_count=2, noise_scale=0.45)
@@ -45,9 +44,9 @@ with tempfile.TemporaryDirectory() as tmp:
         "train.epochs = 8\n"
         "generator.samples_per_class = 30\n"
         f"outputs = {tmp}\n")
-    run_grid(grid_cfg, "components")
+    records = run_grid(grid_cfg, "components")
     print("\ncomponent grid (8 epochs, reduced data):")
-    for row in read_grid_summary(Path(tmp) / "components" / "grid_summary.csv"):
-        acc = row["final_target_accuracy"]
-        print(f"  {row['point']:24s} {acc:.3f}" if acc is not None
-              else f"  {row['point']:24s} {row['status']}")
+    for rec in records:
+        point, acc = rec.summary["grid_point"], rec.summary.get("final_target_accuracy")
+        print(f"  {point:24s} {acc:.3f}" if acc is not None
+              else f"  {point:24s} {rec.summary['status']}")

@@ -24,8 +24,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, config_hash, parse_value
 from .data import make_pretrain_task, make_uda_pair
-from .errors import (ConfigError, ContractViolationError, EmptyPartialSetError, ProbadaptError,
-                     TrainingDivergedError)
+from .errors import ConfigError, EmptyPartialSetError, ProbadaptError, TrainingDivergedError
 from .losses import BETA_VARIANTS, PENALTY_VARIANTS
 from .model import fig1_analog, heldout_accuracy, pretrain
 from .trainer import EpochRecord, TrainReport, train
@@ -197,19 +196,3 @@ def run_grid(cfg: ExperimentConfig, axis: str) -> list[RunRecord]:
     base.mkdir(parents=True, exist_ok=True)
     _atomic_write(base / "grid_summary.csv", "\n".join(lines) + "\n")
     return records
-
-
-def read_grid_summary(path: Path) -> list[dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != GRID_SUMMARY_HEADER:
-        raise ContractViolationError(f"unexpected grid summary header in {path}")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        try:
-            point, status, acc = ln.split(",")
-            rows.append({"point": point, "status": status,
-                         "final_target_accuracy": float(acc) if acc else None})
-        except ValueError as exc:
-            raise ContractViolationError(
-                f"malformed grid summary row in {path} line {lineno}: {ln!r} ({exc})") from None
-    return rows
