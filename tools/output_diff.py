@@ -1,14 +1,13 @@
-"""Compare the run outputs of two source checkouts, or pin this checkout's.
+"""Check this checkout's run outputs against the committed report files.
 
-    python3 tools/output_diff.py PARENT_DIR CHANGE_DIR
+    python3 tools/output_diff.py
     python3 tools/output_diff.py --write-golden
 
-Runs a fixed set of 39 pipelines (each grid point counts as one) through
-``probadapt.cli`` in each checkout, with that checkout's ``src`` first on
-``PYTHONPATH`` and ``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory.
-Each run's config is a benchmark workload's config, built by the checkout's
-own ``perfbench/workloads.py`` from its ``configs/example.cfg``, with a few
-lines replaced:
+Runs a fixed set of 39 pipelines (each grid point counts as one) in this
+process, from this checkout's ``src``, as ``probadapt.cli`` would with
+``PROBADAPT_OUTPUT_ROOT`` set to a temporary directory. Each run's config is
+a benchmark workload's config, built by ``perfbench/workloads.py`` from
+``configs/example.cfg``, with a few lines replaced:
 
 - the example as ``uda``, ``pda`` and ``fig1``
 - ``pda`` on a target of two classes with ``noise_scale`` 0.45 at threshold
@@ -26,28 +25,26 @@ lines replaced:
   amplitude or the backbone flag shows
 
 It then compares every ``summary.json``, ``epochs.csv`` and
-``grid_summary.csv``, 83 files, byte for byte. For each file that differs it names the
-differing ``summary.json`` keys or the differing CSV line numbers. The exit
-status is 1 if any file differs or exists on one side only. That comparison
-uses the standard library only.
+``grid_summary.csv``, 83 files, byte for byte with the tree under
+``tests/golden/``. For each file that differs it names the differing
+``summary.json`` keys or the differing CSV line numbers. The exit status is
+1 if any file differs or exists on one side only.
 
-``--write-golden`` runs the :data:`GOLDEN_RUNS` subset of these pipelines in
-this process, from this checkout's ``src``, and writes the sha256 of each of
-their report files, every ``summary.json`` in full, and the Python and numpy
-versions to ``tests/golden_outputs.json``, which ``tests/test_golden_outputs.py``
-checks in Tier-1. Regenerate it only in a change that moves outputs on
+``--write-golden`` writes that tree from the same runs instead, with a
+``versions.txt`` that records the Python and numpy versions.
+``tests/test_golden_outputs.py`` checks the :data:`GOLDEN_RUNS` subset
+against it in Tier-1. Regenerate it only in a change that moves outputs on
 purpose, and list the moved files.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import os
 import platform
-import subprocess
+import shutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -55,9 +52,8 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden_outputs.json"
-
-SIDES = ("parent", "change")
+GOLDEN = ROOT / "tests" / "golden"
+VERSIONS = "versions.txt"
 
 COMPARED = ("summary.json", "epochs.csv", "grid_summary.csv")
 
@@ -84,18 +80,19 @@ RUNS = (
      {"schedule.lambda2_a": "0.5", "schedule.lambda3_a": "0.125",
       "train.cgi_updates_backbone": "true"}),
 )
+NAMES = tuple(name for name, *_ in RUNS)
 
-# The runs of RUNS whose report files GOLDEN pins: one of each mode, the
-# partial-set mask, zero amplitudes, divergence and the components grid.
+# The runs of RUNS that Tier-1 checks: one of each mode, the partial-set
+# mask, zero amplitudes, divergence and the components grid.
 GOLDEN_RUNS = ("uda", "pda", "pda_partial_set", "fig1", "uda_zero_amplitudes", "uda_diverged",
                "grid_components")
 
 
-def load_workloads(checkout: Path):
-    """The checkout's ``perfbench/workloads.py``, which builds each workload's
-    config from the checkout's ``configs/example.cfg``."""
+def load_workloads():
+    """``perfbench/workloads.py``, which builds each workload's config from
+    ``configs/example.cfg``."""
     spec = importlib.util.spec_from_file_location(
-        "workloads", checkout / "perfbench" / "workloads.py")
+        "workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclass looks its own module up by name
     sys.modules[spec.name] = module
@@ -110,36 +107,17 @@ def config_text(workloads, workload: str, seed: int, overrides: dict, name: str)
         **base.overrides, **overrides, "outputs": name}), seed)
 
 
-def run_all(checkout: Path, root: Path) -> list[str]:
-    """Run every pipeline of :data:`RUNS` from ``checkout`` into ``root``; one line
-    per run that exited neither 0 nor 3 (a run reported as not complete)."""
-    workloads = load_workloads(checkout)
-    env = dict(os.environ, PROBADAPT_OUTPUT_ROOT=str(root),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(checkout.resolve() / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
-    root.mkdir(parents=True)
-    problems = []
-    for name, args, workload, seed, overrides in RUNS:
-        cfg = root / f"{name}.cfg"
-        cfg.write_text(config_text(workloads, workload, seed, overrides, name), encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-m", "probadapt.cli", args[0], str(cfg),
-                               *args[1:]], cwd=root, env=env, capture_output=True, text=True)
-        if proc.returncode not in (0, 3):
-            error = (proc.stderr.strip().splitlines() or ["no error output"])[-1]
-            problems.append(f"{name} exited {proc.returncode}: {error}")
-    return problems
-
-
-def run_golden(root: Path) -> None:
-    """Run the :data:`GOLDEN_RUNS` pipelines in this process into ``root``, as
-    ``probadapt.cli`` would with ``PROBADAPT_OUTPUT_ROOT`` set to ``root``."""
+def run_pipelines(root: Path, names=NAMES) -> None:
+    """Run the pipelines of :data:`RUNS` named in ``names`` in this process
+    into ``root``, as ``probadapt.cli`` would with ``PROBADAPT_OUTPUT_ROOT``
+    set to ``root``."""
     from probadapt import runner
     from probadapt.config import parse_config
 
-    workloads = load_workloads(ROOT)
+    workloads = load_workloads()
     with mock.patch.dict(os.environ, {runner.OUTPUT_ROOT_ENV: str(root)}):
         for name, args, workload, seed, overrides in RUNS:
-            if name in GOLDEN_RUNS:
+            if name in names:
                 cfg = parse_config(config_text(workloads, workload, seed, overrides, name))
                 if args[0] == "run":
                     runner.run_experiment(cfg)
@@ -147,110 +125,87 @@ def run_golden(root: Path) -> None:
                     runner.run_grid(cfg, args[args.index("--axis") + 1])
 
 
-def golden_record(root: Path) -> dict:
-    """The Python and numpy versions, the sha256 of every report file under
-    ``root`` and every ``summary.json`` in full, keyed by relative path."""
+def versions() -> str:
     import numpy
 
-    files = sorted(outputs(root))
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "files": {path.as_posix(): hashlib.sha256((root / path).read_bytes()).hexdigest()
-                  for path in files},
-        "summaries": {path.as_posix(): json.loads((root / path).read_bytes())
-                      for path in files if path.name == "summary.json"},
-    }
+    return f"Python {platform.python_version()}, numpy {numpy.__version__}"
 
 
-def golden_mismatches(golden: dict, root: Path) -> list[str]:
-    """One line per report file under ``root`` whose sha256 differs from
-    ``golden``'s or that exists on one side only, naming a ``summary.json``'s
-    differing keys; empty when every file matches."""
-    found = golden_record(root)["files"]
-    lines = []
-    for path in sorted(golden["files"].keys() | found.keys()):
-        if path not in found:
-            lines.append(f"{path}: missing from the run")
-        elif path not in golden["files"]:
-            lines.append(f"{path}: not in the golden record")
-        elif found[path] != golden["files"][path]:
-            detail = "sha256 differs"
-            if path in golden["summaries"]:
-                pinned = json.dumps(golden["summaries"][path], sort_keys=True, indent=2) + "\n"
-                detail = differences(Path(path), pinned.encode(), (root / path).read_bytes())
-            lines.append(f"{path}: {detail}")
-    return lines
+def version_note() -> str:
+    """The versions the golden tree was written with, beside this process's."""
+    written = (GOLDEN / VERSIONS).read_text(encoding="utf-8").strip()
+    return f"golden tree written with {written}; this run has {versions()}"
 
 
-def outputs(root: Path) -> set[Path]:
-    return {path.relative_to(root) for path in root.rglob("*")
-            if path.is_file() and path.name in COMPARED}
+def outputs(root: Path, names=NAMES) -> set[Path]:
+    """The report files under ``root`` of the runs named in ``names``."""
+    found = {path.relative_to(root) for path in root.rglob("*")
+             if path.is_file() and path.name in COMPARED}
+    return {path for path in found if path.parts[0] in names}
 
 
-def differences(path: Path, parent: bytes, change: bytes) -> str:
+def differences(path: Path, golden: bytes, found: bytes) -> str:
     """The differing keys of a ``summary.json``, else the differing 1-based lines."""
     if path.name == "summary.json":
-        a, b = json.loads(parent), json.loads(change)
+        a, b = json.loads(golden), json.loads(found)
         keys = sorted(k for k in a.keys() | b.keys() if k not in a or k not in b or a[k] != b[k])
         if keys:
             return "keys " + ", ".join(keys)
-    a, b = parent.decode().splitlines(), change.decode().splitlines()
+    a, b = golden.decode().splitlines(), found.decode().splitlines()
     lines = [n + 1 for n in range(max(len(a), len(b)))
              if n >= len(a) or n >= len(b) or a[n] != b[n]]
     return "lines " + ", ".join(map(str, lines))
 
 
-def compare(parent_root: Path, change_root: Path) -> tuple[list[str], bool]:
-    """One line per differing or one-sided file plus a count, and whether every
-    file is present on both sides with the same bytes."""
-    parent_files, change_files = outputs(parent_root), outputs(change_root)
+def compare(golden_root: Path, run_root: Path, names=NAMES) -> tuple[list[str], bool]:
+    """One line per differing or one-sided report file of the runs named in
+    ``names`` plus a count, and whether every file is present on both sides
+    with the same bytes."""
+    golden_files, run_files = outputs(golden_root, names), outputs(run_root, names)
     lines = []
-    for path in sorted(parent_files | change_files):
-        if path not in change_files:
-            lines.append(f"{path}: missing in change")
-        elif path not in parent_files:
-            lines.append(f"{path}: missing in parent")
+    for path in sorted(golden_files | run_files):
+        if path not in run_files:
+            lines.append(f"{path}: missing from the run")
+        elif path not in golden_files:
+            lines.append(f"{path}: not in the golden tree")
         else:
-            a, b = (parent_root / path).read_bytes(), (change_root / path).read_bytes()
+            a, b = (golden_root / path).read_bytes(), (run_root / path).read_bytes()
             if a != b:
                 lines.append(f"{path}: {differences(path, a, b)}")
-    total = len(parent_files | change_files)
+    total = len(golden_files | run_files)
     lines.append(f"{total - len(lines)} of {total} files identical")
     return lines, len(lines) == 1
 
 
+def write_golden(run_root: Path) -> int:
+    """Replace :data:`GOLDEN` with the report files under ``run_root`` and this
+    process's versions; the number of report files written."""
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    files = sorted(outputs(run_root))
+    for path in files:
+        (GOLDEN / path).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(run_root / path, GOLDEN / path)
+    (GOLDEN / VERSIONS).write_text(versions() + "\n", encoding="utf-8")
+    return len(files)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, nargs="?")
-    parser.add_argument("change", type=Path, nargs="?")
     parser.add_argument("--write-golden", action="store_true",
-                        help=f"write {GOLDEN.relative_to(ROOT)} from this checkout instead")
+                        help="write tests/golden/ from these runs instead")
     args = parser.parse_args(argv)
-    if args.write_golden:
-        if args.parent or args.change:
-            parser.error("--write-golden takes no checkouts")
-        sys.path.insert(0, str(ROOT / "src"))
-        with tempfile.TemporaryDirectory() as tmp:
-            run_golden(Path(tmp))
-            record = golden_record(Path(tmp))
-        GOLDEN.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {len(record['files'])} digests to {GOLDEN}")
-        return 0
-    if args.change is None:
-        parser.error("give PARENT_DIR and CHANGE_DIR, or --write-golden")
-    for checkout in (args.parent, args.change):
-        if not (checkout / "perfbench" / "workloads.py").is_file():
-            parser.error(f"{checkout} holds no perfbench/workloads.py")
     with tempfile.TemporaryDirectory() as tmp:
-        roots = {side: Path(tmp) / side for side in SIDES}
-        for side, checkout in zip(SIDES, (args.parent, args.change)):
-            for problem in run_all(checkout, roots[side]):
-                print(f"{side}: {problem}")
-        lines, identical = compare(roots["parent"], roots["change"])
+        run_pipelines(Path(tmp))
+        if args.write_golden:
+            print(f"wrote {write_golden(Path(tmp))} report files to {GOLDEN}")
+            return 0
+        lines, identical = compare(GOLDEN, Path(tmp))
+    if not identical:
+        lines.append(version_note())
     print("\n".join(lines))
     return 0 if identical else 1
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())
