@@ -23,9 +23,7 @@ print(f"far-separated clusters   -> {proxy_a_distance(same[:200], far, seed=0):.
 
 cfg = ExperimentConfig()
 task = make_pretrain_task(cfg)
-params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                  cfg.seed, batch_size=cfg.batch_size,
-                  momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+params = pretrain(task, cfg)
 pair = make_uda_pair(cfg)
 
 distances = fig1_analog(params, pair.source, pair.target, cfg.seed)
@@ -36,9 +34,7 @@ print("probability space smaller:", distances['probability_distance'] < distance
 zero = ExperimentConfig(rotation=0.0, noise_scale=0.0)
 zpair = make_uda_pair(zero)
 ztask = make_pretrain_task(zero)
-zparams = pretrain(ztask, zero.task_classes, zero.pretrain_epochs, zero.pretrain_lr,
-                   zero.seed, batch_size=zero.batch_size,
-                   momentum=zero.momentum, weight_decay=zero.weight_decay)
+zparams = pretrain(ztask, zero)
 zd = fig1_analog(zparams, zpair.source, zpair.target, zero.seed)
 print(f"\nzero-shift pair distances: feature={zd['feature_distance']:.3f} "
       f"probability={zd['probability_distance']:.3f} (both near zero)")

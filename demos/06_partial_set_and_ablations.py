@@ -20,9 +20,7 @@ from probadapt.trainer import partial_set_mask, train
 
 cfg = replace(ExperimentConfig(), target_class_count=2, noise_scale=0.45)
 task = make_pretrain_task(cfg)
-params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                  cfg.seed, batch_size=cfg.batch_size,
-                  momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+params = pretrain(task, cfg)
 pair = make_uda_pair(cfg)
 print(f"target holds only the first {math.ceil(cfg.task_classes / 2)} of "
       f"{cfg.task_classes} source classes")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .data import DomainDataset, PretrainTask, UnlabeledDataset, accuracy, proxy
 from .errors import ContractViolationError, MissingClassError, TrainingDivergedError
 from .optim import ParamGroup, SgdState, sgd_step
 from .seeding import rng_for
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 HIDDEN_DIMS = (64, 64)
 FEATURE_DIM = 32
@@ -126,31 +130,34 @@ def predict_proba(params: ParamGroups, head: str, x: np.ndarray) -> np.ndarray:
 _pretrain_memo: tuple | None = None
 
 
-def pretrain(task: PretrainTask, task_classes: int, epochs: int, lr: float, seed: int, *,
-             batch_size: int, momentum: float, weight_decay: float) -> ParamGroups:
+def pretrain(task: PretrainTask, config: ExperimentConfig) -> ParamGroups:
     """Train the extractor and pretrained head on the cluster task.
 
-    Each batch is one backward pass and one :func:`descend` call, as in
-    adaptation; the task head is never updated. Returns the trained groups;
-    raises TrainingDivergedError (with the epoch index) on a non-finite loss.
+    Reads ``task_classes``, ``pretrain_epochs``, ``pretrain_lr``, ``seed``,
+    ``batch_size``, ``momentum`` and ``weight_decay`` of ``config``, as one
+    settings tuple, and no other key. Each batch is one backward pass and one
+    :func:`descend` call, as in adaptation; the task head is never updated.
+    Returns the trained groups; raises TrainingDivergedError (with the epoch
+    index) on a non-finite loss.
 
-    Training is a pure function of its inputs, so the last result is kept
-    for the life of the process and a repeated call returns a copy of it
-    instead of training again; the grid points of an ablation share one
-    pretraining this way. The single entry is keyed by content: the bytes,
-    shape and dtype of ``task.train.inputs`` and ``task.train.labels``,
+    Training is a pure function of the task and the settings, so the last
+    result is kept for the life of the process and a repeated call returns a
+    copy of it instead of training again; the grid points of an ablation
+    share one pretraining this way. The single entry is keyed by content: the
+    bytes, shape and dtype of ``task.train.inputs`` and ``task.train.labels``,
     ``task.train.class_count``, the architecture (:data:`HIDDEN_DIMS` and
-    :data:`FEATURE_DIM`) and every other argument; a call with any other key
-    trains and replaces it. Each call returns its own copy, so
-    mutating a result never changes a later one. A call that raises stores
-    nothing.
+    :data:`FEATURE_DIM`) and the settings tuple; a call with any other key
+    trains and replaces it. Each call returns its own copy, so mutating a
+    result never changes a later one. A call that raises stores nothing.
     """
     global _pretrain_memo
+    settings = (config.task_classes, config.pretrain_epochs, config.pretrain_lr, config.seed,
+                config.batch_size, config.momentum, config.weight_decay)
+    task_classes, epochs, lr, seed, batch_size, momentum, weight_decay = settings
     x, y = task.train.inputs, task.train.labels
     c2 = task.train.class_count
     key = (x.tobytes(), x.shape, x.dtype.str, y.tobytes(), y.shape, y.dtype.str, c2,
-           HIDDEN_DIMS, FEATURE_DIM, task_classes, epochs, lr, seed, batch_size, momentum,
-           weight_decay)
+           HIDDEN_DIMS, FEATURE_DIM, settings)
     if _pretrain_memo is not None and _pretrain_memo[0] == key:
         return _pretrain_memo[1].copy()
     params = init_params(x.shape[1], c2, task_classes, seed)

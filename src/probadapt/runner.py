@@ -89,14 +89,6 @@ def write_summary(path: Path, summary: dict) -> None:
     _atomic_write(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
-def _pretrained_model(cfg: ExperimentConfig):
-    task = make_pretrain_task(cfg)
-    params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                      cfg.seed, batch_size=cfg.batch_size,
-                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return params, heldout_accuracy(params, task)
-
-
 def collapsed(cfg: ExperimentConfig, report: TrainReport) -> bool:
     """True when every final target prediction falls in one class although
     two or more classes are admissible.
@@ -131,9 +123,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | None = None) -> RunRec
     out.mkdir(parents=True, exist_ok=True)
     report = TrainReport()
     try:
-        params, pretrain_acc = _pretrained_model(cfg)
+        task = make_pretrain_task(cfg)
+        params = pretrain(task, cfg)
+        fields = {"pretrain_heldout_accuracy": heldout_accuracy(params, task)}
         pair = make_uda_pair(cfg)
-        fields = {"pretrain_heldout_accuracy": pretrain_acc}
         if cfg.mode != "fig1":
             report, params = train(params, pair, cfg)
             fields.update(epochs_completed=len(report.epochs),

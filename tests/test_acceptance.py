@@ -39,9 +39,7 @@ DEFAULT = ExperimentConfig()
 
 def default_pretrained():
     task = make_pretrain_task(DEFAULT)
-    params = pretrain(task, DEFAULT.task_classes, DEFAULT.pretrain_epochs,
-                      DEFAULT.pretrain_lr, DEFAULT.seed, batch_size=DEFAULT.batch_size,
-                      momentum=DEFAULT.momentum, weight_decay=DEFAULT.weight_decay)
+    params = pretrain(task, DEFAULT)
     return params, make_uda_pair(DEFAULT)
 
 
@@ -219,9 +217,7 @@ def test_c08_pda_consistency(tmp_path):
     sub = replace(DEFAULT, target_class_count=math.ceil(DEFAULT.task_classes / 2),
                   noise_scale=0.45)
     task = make_pretrain_task(sub)
-    params = pretrain(task, sub.task_classes, sub.pretrain_epochs, sub.pretrain_lr,
-                      sub.seed, batch_size=sub.batch_size,
-                      momentum=sub.momentum, weight_decay=sub.weight_decay)
+    params = pretrain(task, sub)
     pair = make_uda_pair(sub)
     rep_uda, _ = train(params, pair, sub)
     rep_pda, _ = train(params, pair, replace(sub, mode="pda", pda_threshold=10))

@@ -155,8 +155,7 @@ def test_fig1_analog_zero_shift_distances_near_zero():
     # an all-zero shift makes the domains identical in distribution
     cfg = small_cfg(rotation=0.0, noise_scale=0.0, samples_per_class=30)
     task = make_pretrain_task(cfg)
-    params = pretrain(task, cfg.task_classes, epochs=6, lr=0.05, seed=cfg.seed,
-                      batch_size=32, momentum=0.9, weight_decay=5e-4)
+    params = pretrain(task, replace(cfg, pretrain_epochs=6, batch_size=32))
     pair = make_uda_pair(cfg)
     d = fig1_analog(params, pair.source, pair.target, cfg.seed)
     assert d["feature_distance"] < 0.2

@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -77,9 +77,10 @@ def test_param_groups_are_disjoint_objects():
     assert len(ids) == len(params.theta) + len(params.theta_g) + len(params.theta_h)
 
 
-def pretrain_cfg(c2=4, spc=40, noise=0.1, seed=5):
-    return ExperimentConfig(input_dim=4, pretrain_classes=c2, task_classes=2,
-                            samples_per_class=spc, rotation=0.0, noise_scale=noise, seed=seed)
+# Four tight clusters of 40 in four dims, pretrained 5 epochs at batch 32.
+PRETRAIN_CFG = ExperimentConfig(input_dim=4, pretrain_classes=4, task_classes=2,
+                                samples_per_class=40, rotation=0.0, noise_scale=0.1, seed=5,
+                                pretrain_epochs=5, batch_size=32)
 
 
 def test_group_gradients_fill_unreached_tensors_and_skip_unreached_groups():
@@ -107,9 +108,10 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
     monkeypatch.setattr(model, "descend", counting)
     monkeypatch.setattr(trainer, "descend", counting)
     monkeypatch.setattr(trainer, "train_step", None)  # pretraining must not step through it
-    task = make_pretrain_task(pretrain_cfg())
-    params = pretrain(task, **PRETRAIN_ARGS)
-    batches = PRETRAIN_ARGS["epochs"] * math.ceil(len(task.train.inputs) / 32)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    params = pretrain(task, PRETRAIN_CFG)
+    batches = PRETRAIN_CFG.pretrain_epochs * math.ceil(len(task.train.inputs) /
+                                                        PRETRAIN_CFG.batch_size)
     assert calls == [["theta", "theta_g"]] * batches
 
     calls.clear()
@@ -125,25 +127,20 @@ def test_pretraining_and_each_adaptation_step_make_one_descend_call(trainings, m
         assert calls == [["theta", "theta_g", "theta_h"]] * (iteration + 1)
 
 
-# Pretraining's batch size, momentum and weight decay in these tests.
-SGD_ARGS = dict(batch_size=32, momentum=0.9, weight_decay=5e-4)
-
-
 def test_pretrain_separable_blobs_accuracy():
-    task = make_pretrain_task(pretrain_cfg())
-    params = pretrain(task, task_classes=2, epochs=20, lr=0.05, seed=5, **SGD_ARGS)
+    cfg = replace(PRETRAIN_CFG, pretrain_epochs=20)
+    task = make_pretrain_task(cfg)
+    params = pretrain(task, cfg)
     assert heldout_accuracy(params, task) > 0.95
 
 
 def test_pretrain_zero_epochs_chance_level():
     # diffuse clusters so an untrained head scores near chance rather than
     # quantising whole blobs into single classes
-    task = make_pretrain_task(pretrain_cfg(noise=1.5))
-    params = pretrain(task, task_classes=2, epochs=0, lr=0.05, seed=5, **SGD_ARGS)
+    cfg = replace(PRETRAIN_CFG, noise_scale=1.5, pretrain_epochs=0)
+    task = make_pretrain_task(cfg)
+    params = pretrain(task, cfg)
     assert abs(heldout_accuracy(params, task) - 0.25) <= 0.15
-
-
-PRETRAIN_ARGS = dict(task_classes=2, epochs=5, lr=0.05, seed=5, **SGD_ARGS)
 
 
 @pytest.fixture
@@ -169,10 +166,10 @@ def assert_same_bits(a, b):
 
 
 def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
-    task = make_pretrain_task(pretrain_cfg())
-    a = pretrain(task, **PRETRAIN_ARGS)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    a = pretrain(task, PRETRAIN_CFG)
     monkeypatch.setattr(model, "_pretrain_memo", None)
-    b = pretrain(task, **PRETRAIN_ARGS)
+    b = pretrain(task, PRETRAIN_CFG)
     assert len(trainings) == 2
     for group in ("theta", "theta_g", "theta_h"):
         for name in a.group(group):
@@ -183,40 +180,40 @@ def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
 
 
 def test_pretrain_memo_hit_equals_fresh_training(trainings):
-    first = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
+    first = pretrain(make_pretrain_task(PRETRAIN_CFG), PRETRAIN_CFG)
     # an equal task built anew: the memo compares content, not identity
-    hit = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
+    hit = pretrain(make_pretrain_task(PRETRAIN_CFG), PRETRAIN_CFG)
     assert len(trainings) == 1
     model._pretrain_memo = None
-    fresh = pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
+    fresh = pretrain(make_pretrain_task(PRETRAIN_CFG), PRETRAIN_CFG)
     assert len(trainings) == 2
     assert_same_bits(hit, fresh)
     assert_same_bits(first, fresh)
 
 
 def test_pretrain_memo_survives_mutated_results(trainings):
-    task = make_pretrain_task(pretrain_cfg())
-    first = pretrain(task, **PRETRAIN_ARGS)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    first = pretrain(task, PRETRAIN_CFG)
     reference = first.copy()
     first.theta["w1"] *= 2.0
-    hit = pretrain(task, **PRETRAIN_ARGS)
+    hit = pretrain(task, PRETRAIN_CFG)
     hit.theta_g["b"][...] = 7.0
     hit.theta_h.clear()
     hit.theta["extra"] = np.zeros((1, 1))
-    stepped = pretrain(task, **PRETRAIN_ARGS)
+    stepped = pretrain(task, PRETRAIN_CFG)
     sgd_step([(stepped.theta, np.ones_like(stepped.theta.flat),
                SgdState(momentum=0.9, weight_decay=5e-4), 0.1)])
-    assert_same_bits(pretrain(task, **PRETRAIN_ARGS), reference)
+    assert_same_bits(pretrain(task, PRETRAIN_CFG), reference)
     assert len(trainings) == 1
 
 
 def test_pretrain_memo_is_keyed_by_the_architecture(trainings, monkeypatch):
-    task = make_pretrain_task(pretrain_cfg())
-    assert pretrain(task, **PRETRAIN_ARGS).theta["w1"].shape == (4, 64)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    assert pretrain(task, PRETRAIN_CFG).theta["w1"].shape == (4, 64)
     monkeypatch.setattr(model, "HIDDEN_DIMS", (128, 64))
-    assert pretrain(task, **PRETRAIN_ARGS).theta["w1"].shape == (4, 128)
+    assert pretrain(task, PRETRAIN_CFG).theta["w1"].shape == (4, 128)
     monkeypatch.setattr(model, "FEATURE_DIM", 16)
-    assert pretrain(task, **PRETRAIN_ARGS).theta_g["w"].shape == (16, 4)
+    assert pretrain(task, PRETRAIN_CFG).theta_g["w"].shape == (16, 4)
     assert len(trainings) == 3
 
 
@@ -236,11 +233,46 @@ def assert_named_tensors_view_the_flat_buffers(params):
 def test_named_tensors_view_the_flat_buffers(trainings):
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11))
     assert_named_tensors_view_the_flat_buffers(init_params(3, 5, 2, seed=11).copy())
-    task = make_pretrain_task(pretrain_cfg())
-    pretrain(task, **PRETRAIN_ARGS)
-    hit = pretrain(task, **PRETRAIN_ARGS)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    pretrain(task, PRETRAIN_CFG)
+    hit = pretrain(task, PRETRAIN_CFG)
     assert len(trainings) == 1
     assert_named_tensors_view_the_flat_buffers(hit)
+
+
+def params_bits(params):
+    return [(name, value.shape, value.tobytes())
+            for group in ("theta", "theta_g", "theta_h")
+            for name, value in params.group(group).items()]
+
+
+# One valid value off PRETRAIN_CFG's for every config field.
+FIELD_ALTERNATIVES = dict(
+    mode="fig1", seed=6, outputs="runs/other", input_dim=3, pretrain_classes=5, task_classes=3,
+    samples_per_class=30, rotation=0.5, translation=(0.5,) * 4, noise_scale=0.2,
+    target_class_count=1, eta0=0.01, tau=1e-3, upsilon=0.5, head_lr_multiplier=5.0,
+    lambda2_a=0.5, lambda3_a=0.5, delta=5.0, epochs=3, batch_size=16,
+    cgi_updates_backbone=True, beta_variant="max_prob", penalty_variant="GI", momentum=0.8,
+    weight_decay=1e-3, label_smoothing=0.2, pda_threshold=10, pretrain_epochs=4,
+    pretrain_lr=0.04)
+
+
+def test_pretrain_memo_hits_exactly_when_the_result_would_not_change(trainings):
+    # a new config field needs an alternative here, so the memo is checked against it
+    assert FIELD_ALTERNATIVES.keys() == {f.name for f in fields(ExperimentConfig)}
+    reference = params_bits(pretrain(make_pretrain_task(PRETRAIN_CFG), PRETRAIN_CFG))
+    entry = model._pretrain_memo
+    wrong = []
+    for name, value in FIELD_ALTERNATIVES.items():
+        cfg = replace(PRETRAIN_CFG, **{name: value})
+        model._pretrain_memo = None
+        changed = params_bits(pretrain(make_pretrain_task(cfg), cfg)) != reference
+        model._pretrain_memo = entry
+        started = len(trainings)
+        pretrain(make_pretrain_task(cfg), cfg)
+        if (len(trainings) > started) != changed:
+            wrong.append(name)
+    assert wrong == []
 
 
 def _train_variants(train):
@@ -257,41 +289,42 @@ def _train_variants(train):
     }
 
 
-ARG_VARIANTS = dict(task_classes=3, epochs=4, lr=0.04, seed=6, batch_size=16, momentum=0.8,
-                    weight_decay=1e-3)
+# The config fields pretraining reads, each with another value.
+SETTING_VARIANTS = dict(task_classes=3, pretrain_epochs=4, pretrain_lr=0.04, seed=6,
+                        batch_size=16, momentum=0.8, weight_decay=1e-3)
 
 
 @pytest.mark.parametrize("field", ["inputs", "inputs_dtype", "labels", "labels_dtype",
-                                   "class_count", *ARG_VARIANTS])
+                                   "class_count", *SETTING_VARIANTS])
 def test_pretrain_memo_misses_when_any_key_field_changes(trainings, field):
-    task = make_pretrain_task(pretrain_cfg())
-    pretrain(task, **PRETRAIN_ARGS)
-    if field in ARG_VARIANTS:
-        pretrain(task, **dict(PRETRAIN_ARGS, **{field: ARG_VARIANTS[field]}))
+    task = make_pretrain_task(PRETRAIN_CFG)
+    pretrain(task, PRETRAIN_CFG)
+    if field in SETTING_VARIANTS:
+        pretrain(task, replace(PRETRAIN_CFG, **{field: SETTING_VARIANTS[field]}))
     else:
-        pretrain(replace(task, train=_train_variants(task.train)[field]), **PRETRAIN_ARGS)
+        pretrain(replace(task, train=_train_variants(task.train)[field]), PRETRAIN_CFG)
     assert len(trainings) == 2
     # one entry only: the changed call replaced the first one
-    pretrain(task, **PRETRAIN_ARGS)
+    pretrain(task, PRETRAIN_CFG)
     assert len(trainings) == 3
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_divergence_carries_epoch():
-    task = make_pretrain_task(pretrain_cfg())
+    task = make_pretrain_task(PRETRAIN_CFG)
     with pytest.raises(TrainingDivergedError, match="epoch"):
-        pretrain(task, task_classes=2, epochs=5, lr=1e308, seed=5, **SGD_ARGS)
+        pretrain(task, replace(PRETRAIN_CFG, pretrain_lr=1e308))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_divergence_is_never_stored(trainings):
-    task = make_pretrain_task(pretrain_cfg())
-    good = pretrain(task, **PRETRAIN_ARGS)
+    task = make_pretrain_task(PRETRAIN_CFG)
+    good = pretrain(task, PRETRAIN_CFG)
     for attempt in range(2):
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            pretrain(task, **dict(PRETRAIN_ARGS, lr=1e308))
+            pretrain(task, replace(PRETRAIN_CFG, pretrain_lr=1e308))
         assert len(trainings) == 2 + attempt
-    assert_same_bits(pretrain(task, **PRETRAIN_ARGS), good)
+    assert_same_bits(pretrain(task, PRETRAIN_CFG), good)
     assert len(trainings) == 3
 
 
@@ -304,7 +337,7 @@ def test_pretraining_step_records_one_node_per_layer(trainings, monkeypatch):
         return original_backward(output)
 
     monkeypatch.setattr(ad, "backward", counting_backward)
-    pretrain(make_pretrain_task(pretrain_cfg()), **PRETRAIN_ARGS)
+    pretrain(make_pretrain_task(PRETRAIN_CFG), PRETRAIN_CFG)
     # 8 parameter leaves, 4 dense layers, 3 cross-entropy nodes; the input
     # batch is a detached array and records no node
     assert recorded and set(recorded) == {15}
@@ -320,11 +353,11 @@ def test_pretraining_and_prediction_tapes_freed_without_cycle_collector(training
             tapes.append(weakref.ref(self))
 
     monkeypatch.setattr(model, "Tape", WatchedTape)
-    task = make_pretrain_task(pretrain_cfg())
+    task = make_pretrain_task(PRETRAIN_CFG)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        params = pretrain(task, **PRETRAIN_ARGS)
+        params = pretrain(task, PRETRAIN_CFG)
         predict_proba(params, "pretrained", task.heldout.inputs)
         assert len(tapes) > 2
         assert all(tape() is None for tape in tapes)

@@ -8,7 +8,7 @@ from probadapt import cli, model, runner
 from probadapt.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from probadapt.config import (MODES, ExperimentConfig, config_hash, parse_config, parse_value,
                               serialize_config)
-from probadapt.data import make_uda_pair
+from probadapt.data import make_pretrain_task, make_uda_pair
 from probadapt.errors import ConfigError, ContractViolationError, MissingClassError
 from probadapt.model import init_params
 from probadapt.trainer import TrainReport, train
@@ -87,7 +87,7 @@ def test_fig1_mode_emits_distances(tmp_path):
 def test_uda_run_probes_the_adapted_params(tmp_path):
     cfg = fast_cfg(tmp_path=tmp_path)
     summary = run_experiment(cfg).summary
-    params, _ = runner._pretrained_model(cfg)
+    params = model.pretrain(make_pretrain_task(cfg), cfg)
     pair = make_uda_pair(cfg)
     _, adapted = train(params, pair, cfg)
     distances = model.fig1_analog(adapted, pair.source, pair.target, cfg.seed)

@@ -515,10 +515,7 @@ def pretrained_and_pair(cfg):
     from probadapt.model import pretrain
 
     task = make_pretrain_task(cfg)
-    params = pretrain(task, cfg.task_classes, cfg.pretrain_epochs, cfg.pretrain_lr,
-                      cfg.seed, batch_size=cfg.batch_size,
-                      momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return params, make_uda_pair(cfg)
+    return pretrain(task, cfg), make_uda_pair(cfg)
 
 
 def test_train_deterministic_reports():
