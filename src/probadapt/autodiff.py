@@ -453,22 +453,17 @@ def pair_entropy(a: Tensor, b: Tensor, weights) -> Tensor:
 
 
 def _clamp_floor_value(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(x, EPS) as max(x - EPS, 0) + EPS, and the mask of entries above it."""
-    shifted = x - EPS
-    mask = shifted > 0.0
-    # np.maximum (not where) so NaN propagates instead of flushing to zero
-    value = np.maximum(shifted, 0.0, out=shifted)
-    value += EPS
-    return value, mask
+    """max(x, EPS), the value of :func:`losses.clamp_probs`, and the mask of
+    entries above EPS."""
+    # np.maximum (not where) so NaN propagates instead of flushing to EPS
+    return np.maximum(x, EPS), x > EPS
 
 
 def clamp_floor(x: Tensor) -> Tensor:
-    """max(x, EPS) as max(x - EPS, 0) + EPS, in one node.
+    """max(x, EPS) in one node.
 
     Standard guard in front of log / KL evaluations; the subgradient is zero
-    at and below the floor. The rounding steps are those of the composite
-    ``scalar_affine(relu(scalar_affine(x, 1.0, -EPS)), 1.0, EPS)``, whose
-    products with 1.0 are exact, so value and gradient equal it bit for bit.
+    at and below the floor.
     """
     value, mask = _clamp_floor_value(x.value)
 

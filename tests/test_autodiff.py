@@ -207,6 +207,7 @@ def test_clamp_floor_value_and_grad():
     # below the floor the subgradient is zero
     assert grads[x][0, 0] == 0.0
     assert grads[x][0, 1] == 0.5
+    assert np.isnan(ad.clamp_floor(Tape().leaf([[np.nan]])).value[0, 0])
 
 
 def test_determinism_bit_identical():
