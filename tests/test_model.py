@@ -157,12 +157,14 @@ def trainings(monkeypatch):
     return started
 
 
+def params_bits(params):
+    return [(group, name, value.shape, value.tobytes())
+            for group in ("theta", "theta_g", "theta_h")
+            for name, value in params.group(group).items()]
+
+
 def assert_same_bits(a, b):
-    for group in ("theta", "theta_g", "theta_h"):
-        assert a.group(group).keys() == b.group(group).keys()
-        for name, value in a.group(group).items():
-            assert value.shape == b.group(group)[name].shape
-            assert value.tobytes() == b.group(group)[name].tobytes()
+    assert params_bits(a) == params_bits(b)
 
 
 def test_pretrain_deterministic_and_head_untouched(trainings, monkeypatch):
@@ -238,12 +240,6 @@ def test_named_tensors_view_the_flat_buffers(trainings):
     hit = pretrain(task, PRETRAIN_CFG)
     assert len(trainings) == 1
     assert_named_tensors_view_the_flat_buffers(hit)
-
-
-def params_bits(params):
-    return [(name, value.shape, value.tobytes())
-            for group in ("theta", "theta_g", "theta_h")
-            for name, value in params.group(group).items()]
 
 
 # One valid value off PRETRAIN_CFG's for every config field.
